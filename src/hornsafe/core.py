@@ -197,7 +197,11 @@ class Term:
 
 @dataclass(frozen=True)
 class HornTheory:
-    """A set of Horn clauses over variables ``1..n``, input order preserved."""
+    """A set of Horn clauses over variables ``1..n``, input order preserved.
+
+    The formula routes keep the theory's propagation index on the object
+    itself, outside the dataclass fields (see :func:`hornsafe.engine.propagator`).
+    """
 
     n: int
     clauses: tuple[Clause, ...] = ()

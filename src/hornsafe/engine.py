@@ -25,26 +25,40 @@ from .core import Clause, Decision, HornTheory, Model, ModelSet
 
 
 class HornPropagator:
-    """Reusable unit-propagation engine for one Horn theory.
+    """Propagation index of one Horn theory, and unit propagation over it.
 
-    Construction builds the occurrence lists once (linear in the theory
-    size); each :meth:`minimal_model` call then runs in O(theory size + n).
     Clauses are viewed as rules ``body -> head`` with the body being the
     negative index set; a clause with no positive literal is a pure
-    constraint whose fully-true body is a conflict.
+    constraint whose fully-true body is a conflict.  Construction is linear
+    in the theory size and records, per clause id (input order), the head
+    (0 when there is no positive literal) and the body size; per variable,
+    the ids of the clauses whose body contains it (occurrence lists); the
+    ids of the clauses with an empty body (``facts``); and the clause ids
+    bucketed by body size (``by_size[s]``, input order within a bucket).
+
+    The index keeps no reference to the theory, so it never holds a theory
+    alive.  Each :meth:`minimal_model` call copies the body sizes, seeds
+    from the fact list and then touches only the occurrence lists of
+    variables it sets true: O(theory size + n) at worst.  Routes take the
+    index through :func:`propagator`, which builds it once per theory.
     """
 
     def __init__(self, theory: HornTheory):
-        self.theory = theory
         self.n = theory.n
         self.heads: list[int] = []          # 0 when the clause has no positive literal
         self.body_sizes: list[int] = []
         self.occ: dict[int, list[int]] = {}  # body variable -> clause ids
+        self.by_size: list[list[int]] = [[]]  # body size -> clause ids
         for k, c in enumerate(theory.clauses):
+            size = len(c.neg)
             self.heads.append(next(iter(c.pos)) if c.pos else 0)
-            self.body_sizes.append(len(c.neg))
+            self.body_sizes.append(size)
+            while len(self.by_size) <= size:
+                self.by_size.append([])
+            self.by_size[size].append(k)
             for i in c.neg:
                 self.occ.setdefault(i, []).append(k)
+        self.facts: list[int] = self.by_size[0]
 
     def minimal_model(
         self,
@@ -75,18 +89,17 @@ class HornPropagator:
         heads = self.heads
         occ = self.occ
         pending = list(trues)
-        # Clauses whose body is already fully true fire immediately.
-        for k, cnt in enumerate(counters):
-            if cnt == 0:
-                h = heads[k]
-                if h == 0:
-                    return None  # empty clause in the theory
-                if state[h] == 2:
-                    return None
-                if state[h] == 0:
-                    state[h] = 1
-                    trues.append(h)
-                    pending.append(h)
+        # Clauses whose body is empty fire immediately.
+        for k in self.facts:
+            h = heads[k]
+            if h == 0:
+                return None  # empty clause in the theory
+            if state[h] == 2:
+                return None
+            if state[h] == 0:
+                state[h] = 1
+                trues.append(h)
+                pending.append(h)
         while pending:
             i = pending.pop()
             for k in occ.get(i, ()):
@@ -107,13 +120,31 @@ class HornPropagator:
         return Model(n, bits)
 
 
+def propagator(t: HornTheory) -> HornPropagator:
+    """The propagation index of ``t``: built on first use, then kept on ``t``.
+
+    The index is stored in the theory object's own attribute dictionary, so
+    the lookup goes by object identity and never through the value hash of
+    :class:`~hornsafe.core.HornTheory`, which would hash every clause.  Two
+    threads racing on the first use may each build one; an index is
+    published only once fully built, and either serves.  Equal theories
+    parsed separately each build their own.
+    """
+    try:
+        return t.__dict__["_propagator"]
+    except KeyError:
+        prop = HornPropagator(t)
+        object.__setattr__(t, "_propagator", prop)
+        return prop
+
+
 def minimal_model(
     t: HornTheory,
     forced_true: Iterable[int] = (),
     forced_false: Iterable[int] = (),
 ) -> Optional[Model]:
-    """One-shot form of :meth:`HornPropagator.minimal_model`."""
-    return HornPropagator(t).minimal_model(forced_true, forced_false)
+    """:meth:`HornPropagator.minimal_model` on the shared index of ``t``."""
+    return propagator(t).minimal_model(forced_true, forced_false)
 
 
 def entails(t: HornTheory, c: Clause) -> Decision:

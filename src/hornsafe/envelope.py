@@ -36,7 +36,7 @@ from .core import (
     Model,
     ModelSet,
 )
-from .engine import HornPropagator
+from .engine import propagator
 
 SUBSET_CAP = 1 << 20
 
@@ -103,7 +103,7 @@ def deduce_envelope_formula(
         raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
     n = t.n
     full = (1 << n) - 1
-    prop = HornPropagator(t)
+    prop = propagator(t)
     nlist = sorted(c.neg)
     nn = len(nlist)
     neg_bits = c.neg_mask

@@ -39,7 +39,7 @@ from .core import (
     ModelSet,
     index_mask,
 )
-from .engine import HornPropagator, min_model_above
+from .engine import min_model_above, propagator
 
 SUBSET_CAP = 1 << 20
 
@@ -67,7 +67,7 @@ def deduce_exterior_formula(
         raise ValueError("alpha must be nonnegative")
     if c.width > t.n:
         raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
-    prop = HornPropagator(t)
+    prop = propagator(t)
     if alpha >= len(c):
         base = prop.minimal_model()
         if base is None:
@@ -212,7 +212,8 @@ def _exterior_charset_pos(charset: ModelSet, c: Clause, alpha: int, cap: int) ->
                     acc = {a & w for a in acc for w in pool}
                 candidates = acc
             for w in candidates:
-                assert ~w & pos_bits == smask, "candidate left its S slice"
+                if ~w & pos_bits != smask:
+                    raise RuntimeError("candidate left its S slice")
                 off_in_neg = (~w & neg_bits & full).bit_count()
                 if off_in_neg < need:
                     return Decision(False, witness=_falsifier_near(w, c, n))

@@ -38,6 +38,7 @@ from .core import (
     iter_flip_masks,
     mask_indices,
 )
+from .engine import propagator
 
 #: Default ceiling on materialised subclauses / terms / neighborhood vectors.
 EXPANSION_CAP = 1 << 20
@@ -109,41 +110,47 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
        and head j outside P(c) and N forces the split query on x_j; only
        the negative branch remains open, so j joins N and the loop repeats.
 
-    N grows each round, so there are at most n rounds.  The counters are
-    updated through occurrence lists (built lazily on the first round), so
+    N grows each round, so there are at most n rounds.  Heads, body sizes
+    and occurrence lists come from the theory's shared propagation index
+    (:func:`~hornsafe.engine.propagator`, built on the first formula query
+    against ``t``).  Round zero copies the body sizes as counters, walks the
+    occurrence lists of N(c) and then visits only the clauses that meet
+    N(c) plus those whose body has at most alpha literals: O(|c| + the
+    occurrences of N(c) + the clauses of body size <= alpha), besides the
+    copy.  Later counter updates also go through the occurrence lists, so
     total counter work is linear in the theory size; candidate clauses are
     kept in a heap keyed by input position, adding a log factor to the at
-    most m candidate events.  Round zero alone answers queries that never
-    reach step 3 in O(size(t) + |c|).
+    most m candidate events.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if c.width > t.n:
         raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
-    clauses = t.clauses
+    prop = propagator(t)
+    heads, occ = prop.heads, prop.occ
     nset = set(c.neg)
     pset = c.pos
     trace: list[int] = []
 
-    heads = []
-    counters = []
+    # Counters |N(d) \ N|; a clause missing N(c) keeps its body size, which
+    # matters in round zero only when that size is at most alpha.
+    counters = prop.body_sizes.copy()
+    met = [k for i in nset for k in occ.get(i, ())]
+    for k in met:
+        counters[k] -= 1
     candidates: list[int] = []  # heap of clause ids with counter == alpha, head free
-    for k, d in enumerate(clauses):
-        h = next(iter(d.pos)) if d.pos else 0
-        cnt = len(d.neg) - len(d.neg & nset)
-        heads.append(h)
-        counters.append(cnt)
+    for k in set(met).union(*prop.by_size[:alpha + 1]):
+        cnt = counters[k]
         if cnt <= alpha - 1:
             return Decision(True, trace=tuple(trace))
         if cnt == alpha:
+            h = heads[k]
             if h == 0 or h in pset:
                 return Decision(True, trace=tuple(trace))
             if h not in nset:
                 candidates.append(k)
     heapq.heapify(candidates)
 
-    occ: dict[int, list[int]] = {}
-    occ_built = False
     rounds = 0
     while True:
         # Steps 2/3: pick the first critical clause whose head is still free.
@@ -162,12 +169,8 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
         nset.add(j)
         trace.append(j)
         rounds += 1
-        assert rounds <= t.n, "interior deduction exceeded its n-round bound"
-        if not occ_built:
-            for k, d in enumerate(clauses):
-                for i in d.neg:
-                    occ.setdefault(i, []).append(k)
-            occ_built = True
+        if rounds > t.n:
+            raise RuntimeError("interior deduction exceeded its n-round bound")
         for k in occ.get(j, ()):
             cnt = counters[k] - 1
             counters[k] = cnt
@@ -252,4 +255,5 @@ def deduce_interior_charset(
             return Decision(True, trace=tuple(trace))
         nset |= mask_indices(jmask)
         restarts += 1
-        assert restarts <= n, "charset interior scan exceeded its n-restart bound"
+        if restarts > n:
+            raise RuntimeError("charset interior scan exceeded its n-restart bound")

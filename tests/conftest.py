@@ -10,8 +10,14 @@ import pytest
 from hornsafe import (
     Clause,
     HornTheory,
+    Model,
     ModelSet,
     characteristic_set,
+    deduce_envelope_formula,
+    deduce_exterior_formula,
+    deduce_interior_formula,
+    entails,
+    eval_clause,
     parse_horn_cnf,
     parse_model_set,
     random_horn,
@@ -108,3 +114,21 @@ def random_instance(
     clause = random_query_clause(n, rng)
     alpha = rng.choice([0, 0, 1, 1, 1, 2, 2, 3, rng.randint(0, n), n])
     return theory, clause, alpha
+
+
+#: The four formula routes as ``route(theory, clause, alpha) -> Decision``.
+FORMULA_ROUTES = (
+    lambda t, c, alpha: entails(t, c),
+    deduce_interior_formula,
+    deduce_exterior_formula,
+    deduce_envelope_formula,
+)
+
+
+def planted_horn(n: int, m: int, max_len: int, seed: int) -> HornTheory:
+    """A consistent random Horn theory: the clauses of ``random_horn`` that a
+    random planted model satisfies."""
+    rng = random.Random(seed)
+    planted = Model(n, rng.getrandbits(n))
+    t = random_horn(n, m, max_len, seed=rng.getrandbits(48))
+    return HornTheory(n, tuple(c for c in t.clauses if eval_clause(c, planted)))
