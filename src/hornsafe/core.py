@@ -157,7 +157,7 @@ class Clause:
     @property
     def width(self) -> int:
         """Largest variable index mentioned (0 for the empty clause)."""
-        return max(self.pos | self.neg, default=0)
+        return max((0, *self.pos, *self.neg))
 
     @cached_property
     def pos_mask(self) -> int:
@@ -200,7 +200,8 @@ class HornTheory:
     """A set of Horn clauses over variables ``1..n``, input order preserved.
 
     The formula routes keep the theory's propagation index on the object
-    itself, outside the dataclass fields (see :func:`hornsafe.engine.propagator`).
+    itself, outside the dataclass fields (see :func:`hornsafe.engine.propagator`);
+    pickling or copying a theory leaves the index behind.
     """
 
     n: int
@@ -218,12 +219,16 @@ class HornTheory:
                 raise ValueError(f"clause [{c}] has {len(c.pos)} positive literals")
             if c.width > self.n:
                 raise ValueError(f"clause [{c}] mentions x{c.width} but n={self.n}")
-            key = (c.pos, c.neg)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(c)
+            size = len(seen)
+            seen.add(c)  # one hash per clause; the set grows only for a new one
+            if len(seen) > size:
+                kept.append(c)
         object.__setattr__(self, "clauses", tuple(kept))
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_propagator", None)
+        return state
 
     @property
     def size(self) -> int:
@@ -286,9 +291,13 @@ class Decision:
 
     ``witness`` accompanies some NO answers: a model of the queried theory
     that falsifies the clause.  ``trace`` carries derivation artifacts and
-    its element type depends on the procedure (variable indices forced into
-    the working negative set, or the intermediate non-model vectors found
-    by the charset interior scan).
+    its element type depends on the procedure.  The formula interior route
+    records variable indices in the order they joined the working negative
+    set: first its query-independent base derivation without the variables
+    of N(c), then the query's own derivation, cut where YES fired; on NO
+    they are exactly the witness's true variables outside N(c).  The
+    charset interior scan records the intermediate non-model vectors it
+    found; the envelope routes may record the model behind a NO.
     """
 
     entailed: bool
@@ -382,10 +391,14 @@ def parse_horn_cnf(text: str | bytes) -> HornTheory:
     """Parse the ``p hcnf`` format into a validated :class:`HornTheory`.
 
     Duplicate clauses are dropped with a warning; clause order is file order.
+    Clauses share one int object per variable index and one frozenset per
+    distinct head, which keeps a large theory's memory down.
     """
     header = None
     clauses: list[Clause] = []
-    seen: set[tuple[frozenset[int], frozenset[int]]] = set()
+    seen: set[Clause] = set()
+    variables: dict[int, int] = {}            # one int object per index seen
+    heads: dict[int, frozenset[int]] = {0: frozenset()}
     read = 0  # clause lines, duplicates included (the header counts lines)
     for lineno, line in _lines(text):
         if header is None:
@@ -393,34 +406,42 @@ def parse_horn_cnf(text: str | bytes) -> HornTheory:
             continue
         n, m = header
         try:
-            lits = [int(tok) for tok in line.split()]
+            lits = list(map(int, line.split()))
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer clause token in {line!r}") from None
         if not lits or lits[-1] != 0:
             raise ParseError(f"line {lineno}: clause line must end with 0")
-        if 0 in lits[:-1]:
+        del lits[-1]
+        if 0 in lits:
             raise ParseError(f"line {lineno}: literal 0 inside a clause")
-        pos = frozenset(l for l in lits[:-1] if l > 0)
-        neg = frozenset(-l for l in lits[:-1] if l < 0)
+        pos = {l for l in lits if l > 0}
+        neg = {-l for l in lits if l < 0}
         if len(pos) > 1:
             raise ParseError(f"line {lineno}: {len(pos)} positive literals in a Horn clause")
         if pos & neg:
             raise ParseError(
                 f"line {lineno}: indices {sorted(pos & neg)} occur with both signs"
             )
-        bad = [i for i in pos | neg if i > n]
-        if bad:
-            raise ParseError(f"line {lineno}: index {max(bad)} out of range (n={n})")
+        top = max(map(abs, lits), default=0)
+        if top > n:
+            raise ParseError(f"line {lineno}: index {top} out of range (n={n})")
         read += 1
         if read > m:
             raise ParseError(f"line {lineno}: more clauses than the header announced ({m})")
-        if (pos, neg) in seen:
+        head = pos.pop() if pos else 0
+        if head not in heads:
+            heads[head] = frozenset((variables.setdefault(head, head),))
+        # Built from a set, a frozenset gets a table sized to its contents.
+        clause = Clause(heads[head], frozenset({variables.setdefault(i, i) for i in neg}))
+        size = len(seen)
+        seen.add(clause)  # one hash per clause; the set grows only for a new one
+        if len(seen) == size:
             warnings.warn(f"line {lineno}: duplicate clause dropped: {line!r}")
         else:
-            seen.add((pos, neg))
-            clauses.append(Clause(pos, neg))
+            clauses.append(clause)
     if header is None:
         raise ParseError("missing 'p hcnf' header")
+    del seen, variables, heads
     n, m = header
     if read != m:
         raise ParseError(f"header announced {m} clauses, file has {read}")

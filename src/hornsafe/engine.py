@@ -32,15 +32,19 @@ class HornPropagator:
     constraint whose fully-true body is a conflict.  Construction is linear
     in the theory size and records, per clause id (input order), the head
     (0 when there is no positive literal) and the body size; per variable,
-    the ids of the clauses whose body contains it (occurrence lists); the
-    ids of the clauses with an empty body (``facts``); and the clause ids
-    bucketed by body size (``by_size[s]``, input order within a bucket).
+    the ids of the clauses whose body contains it (occurrence lists); and
+    the ids of the clauses with an empty body (``facts``).
 
     The index keeps no reference to the theory, so it never holds a theory
     alive.  Each :meth:`minimal_model` call copies the body sizes, seeds
     from the fact list and then touches only the occurrence lists of
     variables it sets true: O(theory size + n) at worst.  Routes take the
     index through :func:`propagator`, which builds it once per theory.
+
+    ``interior_bases`` maps alpha to the query-independent part of the
+    alpha-interior deduction (:func:`hornsafe.interior.interior_base`),
+    filled on the first interior query at that alpha; a base is published
+    only once fully built.
     """
 
     def __init__(self, theory: HornTheory):
@@ -48,17 +52,15 @@ class HornPropagator:
         self.heads: list[int] = []          # 0 when the clause has no positive literal
         self.body_sizes: list[int] = []
         self.occ: dict[int, list[int]] = {}  # body variable -> clause ids
-        self.by_size: list[list[int]] = [[]]  # body size -> clause ids
+        self.facts: list[int] = []           # clause ids with an empty body
+        self.interior_bases: dict = {}       # alpha -> interior.InteriorBase
         for k, c in enumerate(theory.clauses):
-            size = len(c.neg)
             self.heads.append(next(iter(c.pos)) if c.pos else 0)
-            self.body_sizes.append(size)
-            while len(self.by_size) <= size:
-                self.by_size.append([])
-            self.by_size[size].append(k)
+            self.body_sizes.append(len(c.neg))
+            if not c.neg:
+                self.facts.append(k)
             for i in c.neg:
                 self.occ.setdefault(i, []).append(k)
-        self.facts: list[int] = self.by_size[0]
 
     def minimal_model(
         self,

@@ -9,9 +9,10 @@ but deduction against it is not:
   CNF/DNF over its literal subsets (interiors of clauses are small and
   explicit);
 * :func:`deduce_interior_formula` answers ``interior(t, alpha) |= c``
-  directly from the clause list, in time linear in the theory size up to
-  bookkeeping, by growing the negative side of the query until one of two
-  terminal conditions fires;
+  directly from the clause list by growing the negative side of the query
+  until one of two terminal conditions fires; the query-independent part
+  of that growth is derived once per theory and alpha, in time linear in
+  the theory size up to bookkeeping, and each query pays only its own part;
 * :func:`deduce_interior_charset` answers the same query from a
   characteristic-model representation by scanning the neighborhood of the
   minimal falsifying vector, in O(n^(alpha+2) |charset|).
@@ -20,9 +21,10 @@ but deduction against it is not:
 from __future__ import annotations
 
 import heapq
+from array import array
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,7 +40,9 @@ from .core import (
     iter_flip_masks,
     mask_indices,
 )
-from .engine import propagator
+from .engine import HornPropagator, propagator
+
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 #: Default ceiling on materialised subclauses / terms / neighborhood vectors.
 EXPANSION_CAP = 1 << 20
@@ -94,6 +98,109 @@ def interior_cnf(t: HornTheory, alpha: int, cap: int = EXPANSION_CAP) -> HornThe
     return HornTheory(t.n, tuple(out))
 
 
+class InteriorBase(NamedTuple):
+    """The query-independent part of alpha-interior deduction on one theory.
+
+    F0 is the closure of the empty set under the alpha-rule of
+    :func:`deduce_interior_formula` (no query literals).  ``order`` lists F0
+    in derivation order, ``inside`` maps each variable ``0..n`` to its
+    1-based position in ``order`` (0 outside F0) and ``mask`` packs F0.
+    ``counters`` holds |N(d) \\ F0| per clause id at the fixpoint; it is
+    None when the build met a YES condition, which means the alpha-interior
+    is inconsistent and entails every clause (``order`` then stops where
+    YES fired).
+    """
+
+    order: tuple[int, ...]
+    inside: array
+    mask: int
+    counters: Optional[list[int]]
+
+
+def build_interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
+    """Derive F0 from N = {} and P = {}: the clauses whose body has at most
+    alpha literals are active before any variable is derived."""
+    counters = prop.body_sizes.copy()
+    inside = array("i", [0]) * (prop.n + 1)
+    order: list[int] = []
+    active = [k for k, size in enumerate(counters) if size <= alpha]
+    if _derive(prop, alpha, frozenset(), inside, counters, active, 0, order):
+        counters = None
+    # C-level passes over the n + 1 positions, not one big-int OR per
+    # variable (quadratic in n).
+    mask = int(bytes(map(bool, inside))[:0:-1].translate(_BIT_CHARS), 2)
+    return InteriorBase(tuple(order), inside, mask, counters)
+
+
+def interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
+    """The :class:`InteriorBase` of ``prop`` at ``alpha``: built on the first
+    interior query at that alpha, then kept in ``prop.interior_bases``.
+
+    A base is published only once fully built; threads racing on the first
+    query may each build one, and either serves.
+    """
+    try:
+        return prop.interior_bases[alpha]
+    except KeyError:
+        base = build_interior_base(prop, alpha)
+        prop.interior_bases[alpha] = base
+        return base
+
+
+class _Overlay(dict):
+    """One query's changed counters over the base counters, which it never writes."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: list[int]):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, k: int) -> int:
+        return self.base[k]
+
+
+def _derive(prop, alpha, pset, inside, counts, ids, step, trace) -> bool:
+    """Grow N (the variables with ``inside[i]`` nonzero) to its fixpoint
+    under the alpha-rule; True when a YES condition holds.
+
+    ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  The clause ids
+    in ``ids`` have their counter lowered by ``step`` first (0 only
+    re-checks it).  While some clause has counter alpha and a head outside
+    N, the first such clause in input order puts its head j into ``trace``
+    and N, with ``inside[j]`` set to the new length of ``trace``.  YES
+    holds as soon as a counter falls below alpha, or is alpha with no head
+    or the head in ``pset``.
+    """
+    heads, occ = prop.heads, prop.occ
+    candidates: list[int] = []  # heap of clause ids whose counter is alpha
+    rounds = 0
+    while True:
+        for k in ids:
+            cnt = counts[k] - step
+            counts[k] = cnt
+            if cnt < alpha:
+                return True
+            if cnt == alpha:
+                h = heads[k]
+                if h == 0 or h in pset:
+                    return True
+                if not inside[h]:
+                    heapq.heappush(candidates, k)
+        while candidates:
+            j = heads[heapq.heappop(candidates)]
+            if not inside[j]:
+                break
+        else:
+            return False
+        trace.append(j)
+        inside[j] = len(trace)
+        rounds += 1
+        if rounds > prop.n:
+            raise RuntimeError("interior deduction exceeded its n-round bound")
+        ids, step = occ.get(j, ()), 1
+
+
 def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     """Decide whether the alpha-interior of ``t`` entails ``c``.
 
@@ -110,78 +217,61 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
        and head j outside P(c) and N forces the split query on x_j; only
        the negative branch remains open, so j joins N and the loop repeats.
 
-    N grows each round, so there are at most n rounds.  Heads, body sizes
-    and occurrence lists come from the theory's shared propagation index
-    (:func:`~hornsafe.engine.propagator`, built on the first formula query
-    against ``t``).  Round zero copies the body sizes as counters, walks the
-    occurrence lists of N(c) and then visits only the clauses that meet
-    N(c) plus those whose body has at most alpha literals: O(|c| + the
-    occurrences of N(c) + the clauses of body size <= alpha), besides the
-    copy.  Later counter updates also go through the occurrence lists, so
-    total counter work is linear in the theory size; candidate clauses are
-    kept in a heap keyed by input position, adding a log factor to the at
-    most m candidate events.
+    Step 3 is monotone in N and so are both YES conditions, so the answer
+    only depends on the fixpoint Cl(N(c)) = Cl(N(c) | F0), where F0 = Cl({})
+    is the same for every query.  The work is therefore split in two:
+
+    * the base (:func:`interior_base`): F0, its derivation order and the
+      counters at F0, derived once per theory and alpha on the first
+      interior query at that alpha and kept on the theory's shared
+      propagation index (:func:`~hornsafe.engine.propagator`).  When the
+      base derivation itself meets a YES condition the alpha-interior is
+      inconsistent and every query is answered YES.
+    * the extension, per query: P(c) meeting F0 answers YES; otherwise only
+      the variables of N(c) outside F0, and the heads they force, lower
+      counters, kept in a small overlay over the base counters.  A NO
+      witness is F0 | N(c) | the added heads.
+
+    Cost: the first query at an alpha is O(theory size); later ones are
+    O(|c| + the occurrences of the variables newly put into N), besides
+    copying F0's n + 1 positions and its derivation into the trace.
+    Candidate clauses are kept in a heap keyed by input position, adding a
+    log factor to both.
+
+    The trace is the base derivation without the variables of N(c), then
+    the query's own derivation, cut where YES fired: a YES from P(c)
+    meeting F0 cuts the base derivation before its first variable in P(c).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if c.width > t.n:
         raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
     prop = propagator(t)
-    heads, occ = prop.heads, prop.occ
-    nset = set(c.neg)
-    pset = c.pos
+    base = interior_base(prop, alpha)
+    order, inside = base.order, base.inside
+    # The base derivation, cut before its first variable in P(c), without N(c).
+    cut = min((inside[p] - 1 for p in c.pos if inside[p]), default=len(order))
     trace: list[int] = []
+    start = 0
+    for skip in sorted(inside[i] - 1 for i in c.neg if inside[i]):
+        if skip >= cut:
+            break
+        trace.extend(order[start:skip])
+        start = skip + 1
+    trace.extend(order[start:cut])
+    if cut < len(order) or base.counters is None:
+        return Decision(True, trace=tuple(trace))
 
-    # Counters |N(d) \ N|; a clause missing N(c) keeps its body size, which
-    # matters in round zero only when that size is at most alpha.
-    counters = prop.body_sizes.copy()
-    met = [k for i in nset for k in occ.get(i, ())]
-    for k in met:
-        counters[k] -= 1
-    candidates: list[int] = []  # heap of clause ids with counter == alpha, head free
-    for k in set(met).union(*prop.by_size[:alpha + 1]):
-        cnt = counters[k]
-        if cnt <= alpha - 1:
-            return Decision(True, trace=tuple(trace))
-        if cnt == alpha:
-            h = heads[k]
-            if h == 0 or h in pset:
-                return Decision(True, trace=tuple(trace))
-            if h not in nset:
-                candidates.append(k)
-    heapq.heapify(candidates)
-
-    rounds = 0
-    while True:
-        # Steps 2/3: pick the first critical clause whose head is still free.
-        chosen = -1
-        while candidates:
-            k = heapq.heappop(candidates)
-            if heads[k] not in nset:
-                chosen = k
-                break
-        if chosen < 0:
-            # Every critical clause points back into N: the N-vector lies in
-            # the interior and falsifies the query.
-            return Decision(False, witness=Model(t.n, index_mask(nset)),
-                            trace=tuple(trace))
-        j = heads[chosen]
-        nset.add(j)
-        trace.append(j)
-        rounds += 1
-        if rounds > t.n:
-            raise RuntimeError("interior deduction exceeded its n-round bound")
-        for k in occ.get(j, ()):
-            cnt = counters[k] - 1
-            counters[k] = cnt
-            if cnt <= alpha - 1:
-                return Decision(True, trace=tuple(trace))
-            if cnt == alpha:
-                h = heads[k]
-                if h == 0 or h in pset:
-                    return Decision(True, trace=tuple(trace))
-                if h not in nset:
-                    heapq.heappush(candidates, k)
+    fresh = [i for i in c.neg if not inside[i]]
+    inside = inside[:]
+    for i in fresh:
+        inside[i] = 1
+    met = [k for i in fresh for k in prop.occ.get(i, ())]
+    known = len(trace)
+    if _derive(prop, alpha, c.pos, inside, _Overlay(base.counters), met, 1, trace):
+        return Decision(True, trace=tuple(trace))
+    witness = base.mask | c.neg_mask | index_mask(trace[known:])
+    return Decision(False, witness=Model(t.n, witness), trace=tuple(trace))
 
 
 def deduce_interior_charset(
