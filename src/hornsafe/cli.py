@@ -34,7 +34,7 @@ from .core import (
     serialize_horn_cnf,
     serialize_model_set,
 )
-from .engine import characteristic_set, intersection_closure
+from .engine import characteristic_set
 from .envelope import deduce_envelope_charset, deduce_envelope_formula
 from .exterior import deduce_exterior_charset, deduce_exterior_formula
 from .gen import (
@@ -86,23 +86,29 @@ def _finish(decision: Decision, want_witness: bool) -> int:
     return 0 if decision.entailed else 1
 
 
+# (representation, mode) -> route(kb, clause, alpha, method); only
+# exterior-charset takes the enumeration side.  The lambdas look each
+# deduce_* name up at call time, so rebinding a module global (a test's
+# monkeypatch, a profiler's wrapper) reaches the table.
+_ROUTES = {
+    ("formula", "interior"): lambda kb, c, alpha, method: deduce_interior_formula(kb, c, alpha),
+    ("formula", "exterior"): lambda kb, c, alpha, method: deduce_exterior_formula(kb, c, alpha),
+    ("formula", "envelope"): lambda kb, c, alpha, method: deduce_envelope_formula(kb, c, alpha),
+    ("charset", "interior"): lambda kb, c, alpha, method: deduce_interior_charset(kb, c, alpha),
+    ("charset", "exterior"): lambda kb, c, alpha, method: deduce_exterior_charset(
+        kb, c, alpha, method=method
+    ),
+    ("charset", "envelope"): lambda kb, c, alpha, method: deduce_envelope_charset(kb, c, alpha),
+}
+
+
 def cmd_deduce(args: argparse.Namespace) -> int:
     clause = _parse_clause_arg(args.clause)
     if args.theory:
-        theory = _load_theory(args.theory)
-        run = {
-            "interior": deduce_interior_formula,
-            "exterior": deduce_exterior_formula,
-            "envelope": deduce_envelope_formula,
-        }[args.mode]
-        return _finish(run(theory, clause, args.alpha), args.witness)
-    charset = _load_charset(args.charset)
-    if args.mode == "interior":
-        decision = deduce_interior_charset(charset, clause, args.alpha)
-    elif args.mode == "exterior":
-        decision = deduce_exterior_charset(charset, clause, args.alpha, method=args.method)
+        kb, rep = _load_theory(args.theory), "formula"
     else:
-        decision = deduce_envelope_charset(charset, clause, args.alpha)
+        kb, rep = _load_charset(args.charset), "charset"
+    decision = _ROUTES[rep, args.mode](kb, clause, args.alpha, args.method)
     return _finish(decision, args.witness)
 
 
@@ -111,7 +117,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.theory:
         base = all_models(_load_theory(args.theory))
     else:
-        base = intersection_closure(_load_charset(args.charset))
+        # The charset's closure is its full model set; envelope_models caps n
+        # before it closes.
+        base = envelope_models(_load_charset(args.charset))
     if args.mode == "interior":
         target = interior_models(base, args.alpha)
     elif args.mode == "exterior":
@@ -209,22 +217,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         pos = frozenset(v for v in variables if rng.random() < 0.5)
         clause = Clause(pos=pos, neg=frozenset(variables) - pos)
         if args.repr == "formula":
-            run = {
-                "interior": deduce_interior_formula,
-                "exterior": deduce_exterior_formula,
-                "envelope": deduce_envelope_formula,
-            }[args.mode]
             kb, size = theory, theory.size
         else:
-            charset = characteristic_set(all_models(theory))
-            run = {
-                "interior": deduce_interior_charset,
-                "exterior": deduce_exterior_charset,
-                "envelope": deduce_envelope_charset,
-            }[args.mode]
-            kb, size = charset, args.n * len(charset)
+            kb = characteristic_set(all_models(theory))
+            size = args.n * len(kb)
+        run = _ROUTES[args.repr, args.mode]
         start = time.perf_counter()
-        run(kb, clause, args.alpha)
+        run(kb, clause, args.alpha, "auto")
         elapsed = time.perf_counter() - start
         rows.append(
             {

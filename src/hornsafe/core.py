@@ -312,6 +312,14 @@ class Decision:
         return self.entailed
 
 
+def _check_query(c: Clause, alpha: int, n: int) -> None:
+    """The argument checks every ``deduce_*`` route starts with."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    if c.width > n:
+        raise ValueError(f"clause [{c}] mentions x{c.width} but n={n}")
+
+
 def eval_clause(c: Clause, v: Model) -> bool:
     """Clause satisfaction: some positive index on or some negative index off."""
     if c.width > v.n:

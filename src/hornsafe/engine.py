@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Clause, Decision, HornTheory, Model, ModelSet
+from .core import Clause, Decision, HornTheory, Model, ModelSet, index_mask
 
 
 class HornPropagator:
@@ -54,13 +54,18 @@ class HornPropagator:
         self.occ: dict[int, list[int]] = {}  # body variable -> clause ids
         self.facts: list[int] = []           # clause ids with an empty body
         self.interior_bases: dict = {}       # alpha -> interior.InteriorBase
+        occ = self.occ
         for k, c in enumerate(theory.clauses):
             self.heads.append(next(iter(c.pos)) if c.pos else 0)
             self.body_sizes.append(len(c.neg))
             if not c.neg:
                 self.facts.append(k)
             for i in c.neg:
-                self.occ.setdefault(i, []).append(k)
+                ids = occ.get(i)
+                if ids is None:
+                    occ[i] = [k]
+                else:
+                    ids.append(k)
 
     def minimal_model(
         self,
@@ -116,10 +121,7 @@ class HornPropagator:
                         state[h] = 1
                         trues.append(h)
                         pending.append(h)
-        bits = 0
-        for i in trues:
-            bits |= 1 << (i - 1)
-        return Model(n, bits)
+        return Model(n, index_mask(trues))
 
 
 def propagator(t: HornTheory) -> HornPropagator:

@@ -20,13 +20,17 @@ formula-based :func:`deduce_envelope_formula` applies the same two
 conditions with "characteristic model" replaced by "model", realised as one
 satisfiability probe per subset of N(c) of the two relevant sizes; the
 minimal model per branch has the largest off set, so it alone decides
-coverage.
+coverage.  Both routes build their NO witnesses with the same helpers: a
+condition-(i) model goes through :func:`~hornsafe.exterior._falsifier_near`,
+and condition (ii) is checked, and its witness built, by
+:func:`_cover_witness`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 from .core import (
     Clause,
@@ -35,10 +39,31 @@ from .core import (
     HornTheory,
     Model,
     ModelSet,
+    _check_query,
 )
 from .engine import propagator
+from .exterior import SUBSET_CAP, _falsifier_near
 
-SUBSET_CAP = 1 << 20
+
+def _cover_witness(models: list[int], c: Clause, n: int) -> Optional[Model]:
+    """Condition (ii): an envelope model falsifying ``c``, or None.
+
+    ``models`` are the base models with exactly alpha off-bits inside N(c)
+    (charset members, or one minimal model per branch).  None when there
+    are none or their off sets miss some index of P(c); otherwise the AND,
+    over each j in P(c), of the first model with x_j off (just the first
+    model when P(c) is empty), with N(c) set.
+    """
+    if not models:
+        return None
+    witness_bits = (1 << n) - 1 if c.pos else models[0]
+    for j in c.pos:
+        bit = 1 << (j - 1)
+        donor = next((b for b in models if not b & bit), None)
+        if donor is None:
+            return None  # no off set contains x_j
+        witness_bits &= donor
+    return Model(n, witness_bits | c.neg_mask)
 
 
 def deduce_envelope_charset(charset: ModelSet, c: Clause, alpha: int) -> Decision:
@@ -48,37 +73,23 @@ def deduce_envelope_charset(charset: ModelSet, c: Clause, alpha: int) -> Decisio
     reports the offending member in the trace; both NO branches attach a
     countermodel from the envelope.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     n = charset.n
-    if c.width > n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={n}")
+    _check_query(c, alpha, n)
     full = (1 << n) - 1
     neg_bits = c.neg_mask
-    pos_bits = c.pos_mask
     boundary: list[int] = []  # members with exactly alpha off-bits inside N(c)
-    covered = 0
     for m in charset:
         off_in_neg = (~m.bits & neg_bits & full).bit_count()
         if off_in_neg < alpha:
             # Per-index copies of m (missing N(c) bits set, one P(c) bit
             # cleared) stay inside the alpha-neighborhood; their AND is an
             # envelope model falsifying c.
-            witness = Model(n, (m.bits | neg_bits) & ~pos_bits)
-            return Decision(False, witness=witness, trace=(m,))
+            return Decision(False, witness=_falsifier_near(m.bits, c, n), trace=(m,))
         if off_in_neg == alpha:
             boundary.append(m.bits)
-            covered |= ~m.bits & pos_bits
-    if boundary and covered == pos_bits:
-        witness_bits = full
-        if c.pos:
-            for j in sorted(c.pos):
-                bit = 1 << (j - 1)
-                donor = next(b for b in boundary if not b & bit)
-                witness_bits &= donor | neg_bits
-        else:
-            witness_bits = boundary[0] | neg_bits
-        return Decision(False, witness=Model(n, witness_bits))
+    witness = _cover_witness(boundary, c, n)
+    if witness is not None:
+        return Decision(False, witness=witness)
     return Decision(True)
 
 
@@ -93,21 +104,15 @@ def deduce_envelope_formula(
     negative; no probe at all at alpha = 0).  Any hit answers NO.
 
     Step 2 gathers, over subsets of size ``|N(c)| - alpha`` (none when
-    alpha > |N(c)|), the positive indices of ``c`` switched off by each
-    branch's minimal model; NO iff at least one branch was satisfiable and
-    those indices cover P(c).  Unsatisfiable branches contribute nothing.
+    alpha > |N(c)|), the minimal model of each satisfiable branch; NO iff
+    their off sets cover P(c) (:func:`_cover_witness`).  Unsatisfiable
+    branches contribute nothing.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if c.width > t.n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
     n = t.n
-    full = (1 << n) - 1
+    _check_query(c, alpha, n)
     prop = propagator(t)
     nlist = sorted(c.neg)
     nn = len(nlist)
-    neg_bits = c.neg_mask
-    pos_bits = c.pos_mask
 
     size1 = nn - alpha + 1
     if size1 <= nn:
@@ -117,30 +122,17 @@ def deduce_envelope_formula(
         for sub in combinations(nlist, size1):
             v = prop.minimal_model(sub)
             if v is not None:
-                witness = Model(n, (v.bits | neg_bits) & ~pos_bits)
-                return Decision(False, witness=witness, trace=(v,))
+                return Decision(False, witness=_falsifier_near(v.bits, c, n), trace=(v,))
 
-    any_sat = False
-    covered = 0
     branch_models: list[int] = []
     if alpha <= nn:
         if comb(nn, nn - alpha) > cap:
             raise EnumerationLimitError(f"step-2 enumeration exceeds the cap of {cap}")
         for sub in combinations(nlist, nn - alpha):
             v = prop.minimal_model(sub)
-            if v is None:
-                continue
-            any_sat = True
-            branch_models.append(v.bits)
-            covered |= ~v.bits & pos_bits
-    if any_sat and covered == pos_bits:
-        witness_bits = full
-        if c.pos:
-            for j in sorted(c.pos):
-                bit = 1 << (j - 1)
-                donor = next(b for b in branch_models if not b & bit)
-                witness_bits &= donor | neg_bits
-        else:
-            witness_bits = branch_models[0] | neg_bits
-        return Decision(False, witness=Model(n, witness_bits))
+            if v is not None:
+                branch_models.append(v.bits)
+    witness = _cover_witness(branch_models, c, n)
+    if witness is not None:
+        return Decision(False, witness=witness)
     return Decision(True)

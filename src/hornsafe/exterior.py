@@ -9,26 +9,28 @@ Deduction rests on the duality ``exterior(t, alpha) |= c`` iff
 ``c`` of size ``|c| - alpha``.  Grouping subclauses by their negative part
 turns this into a counting criterion: for each S subset of N(c) with
 ``|S| >= |N(c)| - alpha``, at least ``alpha - |N(c)| + |S| + 1`` positive
-indices j of c must satisfy ``t |= (OR_{i in S} ~x_i) or x_j``.  For a Horn
-base all those entailments are read off one unit propagation fixing S true:
-the good j are the positive indices forced on, and an unsatisfiable fix
+indices j of c must satisfy ``t |= (OR_{i in S} ~x_i) or x_j``.  All those
+entailments are read off the minimal model of the base above S (S fixed
+true): the good j are the positive indices it sets, and no model above S
 discharges the whole group (the purely negative subclause is entailed, and
 with it every extension).
 
-The model-based side replaces propagation with member intersections.  Two
-symmetric enumerations are available: over subsets of N(c) (mirroring the
-formula route) or over subsets of P(c) with candidate maximal models built
-from member tuples; ``method="auto"`` picks the smaller predicted one.
-Either way the work is exponential only in alpha / the enumerated side of
-the clause, matching the known tractable cases.
+One loop, :func:`_exterior_neg`, evaluates the criterion for both
+representations; only its "minimal model above S" oracle differs.  A Horn
+CNF gets that model by unit propagation (Dowling & Gallier, 1984), a
+characteristic set as the AND of its members above S (Kautz, Kearns &
+Selman, 1993).  The characteristic-set route also has a symmetric pos side
+over subsets of P(c), with candidate maximal models built from member
+tuples; ``method="auto"`` picks the side with the smaller predicted
+enumeration.  Either way the work is exponential only in alpha / the
+enumerated side of the clause, matching the known tractable cases.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-
-import numpy as np
+from typing import Callable, Iterable, Optional
 
 from .core import (
     Clause,
@@ -37,6 +39,7 @@ from .core import (
     HornTheory,
     Model,
     ModelSet,
+    _check_query,
     index_mask,
 )
 from .engine import min_model_above, propagator
@@ -45,11 +48,59 @@ SUBSET_CAP = 1 << 20
 
 
 def _falsifier_near(model_bits: int, c: Clause, n: int) -> Model:
-    """Countermodel for a failed group: push the base model into the
-    falsifying cone of ``c``.  The flip count is bounded by alpha whenever
-    the group's counting condition failed, so the result lies in the
-    exterior and falsifies ``c``."""
+    """Push a base model into the falsifying cone of ``c``: N(c) set, P(c)
+    cleared.  For a failed exterior group the flip count is bounded by
+    alpha, so the result lies in the exterior and falsifies ``c``; the
+    envelope routes use it for their condition-(i) witness."""
     return Model(n, (model_bits | c.neg_mask) & ~c.pos_mask)
+
+
+def _neg_count(c: Clause, alpha: int) -> int:
+    """Number of subsets S of N(c) with ``|S| >= |N(c)| - alpha``."""
+    nn = len(c.neg)
+    return sum(comb(nn, p) for p in range(min(alpha, nn) + 1))
+
+
+def _exterior_neg(
+    above: Callable[[Iterable[int]], Optional[Model]],
+    c: Clause,
+    alpha: int,
+    n: int,
+    cap: int,
+) -> Decision:
+    """The counting criterion over subsets S of N(c), one ``above(S)`` each.
+
+    ``above(S)`` returns the minimal model of the base with S fixed true,
+    or None when there is none.  ``alpha >= |c|`` collapses the query to
+    ``above(())``: the interior of ``c`` is then unsatisfiable, so only an
+    unsatisfiable base entails it.
+    """
+    if alpha >= len(c):
+        base = above(())
+        if base is None:
+            return Decision(True)
+        return Decision(False, witness=_falsifier_near(base.bits, c, n))
+    total = _neg_count(c, alpha)
+    if total > cap:
+        raise EnumerationLimitError(
+            f"{total} subsets of N(c) to enumerate (cap {cap}); "
+            "consider the charset route or the enumeration oracle"
+        )
+    nlist = sorted(c.neg)
+    nn = len(nlist)
+    nset = frozenset(nlist)
+    pos_bits = c.pos_mask
+    for drop in range(min(alpha, nn) + 1):
+        for removed in combinations(nlist, drop):
+            s = nset - frozenset(removed)
+            w = above(s)
+            if w is None:
+                continue  # the purely negative subclause over S is entailed
+            need = alpha - nn + len(s) + 1
+            good = (w.bits & pos_bits).bit_count()
+            if good < need:
+                return Decision(False, witness=_falsifier_near(w.bits, c, n))
+    return Decision(True)
 
 
 def deduce_exterior_formula(
@@ -57,47 +108,13 @@ def deduce_exterior_formula(
 ) -> Decision:
     """Decide whether the alpha-exterior of ``t`` entails ``c``.
 
-    Enumerates S subsets of N(c) through complements of size <= alpha, runs
-    one propagation per S, and applies the counting criterion described in
-    the module docstring.  ``alpha >= |c|`` collapses the query: the
-    interior of ``c`` is then unsatisfiable, so only an unsatisfiable base
-    entails it.  NO answers carry a countermodel from the exterior.
+    Runs the neg-side loop of the module docstring with unit propagation
+    as the "minimal model above S" oracle: one propagation per subset S of
+    N(c) with ``|S| >= |N(c)| - alpha``, at most ``cap`` of them.  NO
+    answers carry a countermodel from the exterior.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if c.width > t.n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
-    prop = propagator(t)
-    if alpha >= len(c):
-        base = prop.minimal_model()
-        if base is None:
-            return Decision(True)
-        return Decision(False, witness=_falsifier_near(base.bits, c, t.n))
-    nlist = sorted(c.neg)
-    nn = len(nlist)
-    total = sum(comb(nn, p) for p in range(min(alpha, nn) + 1))
-    if total > cap:
-        raise EnumerationLimitError(
-            f"{total} subsets of N(c) to enumerate (cap {cap}); "
-            "consider the charset route or the enumeration oracle"
-        )
-    pos_bits = c.pos_mask
-    for drop in range(min(alpha, nn) + 1):
-        for removed in combinations(nlist, drop):
-            s = frozenset(nlist) - frozenset(removed)
-            vmin = prop.minimal_model(s)
-            if vmin is None:
-                continue  # the purely negative subclause over S is entailed
-            need = alpha - nn + len(s) + 1
-            good = (vmin.bits & pos_bits).bit_count()
-            if good < need:
-                return Decision(False, witness=_falsifier_near(vmin.bits, c, t.n))
-    return Decision(True)
-
-
-def _predicted_neg_count(c: Clause, alpha: int) -> int:
-    nn = len(c.neg)
-    return sum(comb(nn, p) for p in range(min(alpha, nn) + 1))
+    _check_query(c, alpha, t.n)
+    return _exterior_neg(propagator(t).minimal_model, c, alpha, t.n, cap)
 
 
 def _predicted_pos_count(c: Clause, alpha: int, k: int) -> int:
@@ -119,55 +136,31 @@ def deduce_exterior_charset(
 ) -> Decision:
     """Decide whether the alpha-exterior of the represented theory entails ``c``.
 
-    ``method`` selects the enumeration side: ``"neg"`` walks subsets of
-    N(c) and intersects charset members above each fixed vector; ``"pos"``
-    walks subsets S of P(c) and checks every maximal base model whose off
-    set meets P(c) exactly in S, generating those as intersections of member
+    ``method`` selects the enumeration side.  ``"neg"`` runs the same
+    neg-side loop as :func:`deduce_exterior_formula`, with
+    :func:`~hornsafe.engine.min_model_above` (the AND of the members above
+    S) as its oracle, so both routes give equal decisions.  ``"pos"`` walks
+    subsets S of P(c) and checks every maximal base model whose off set
+    meets P(c) exactly in S, generating those as intersections of member
     tuples.  ``"auto"`` picks the side with the smaller predicted
-    enumeration.  The empty charset is the inconsistent theory and entails
+    enumeration.  ``alpha >= |c|`` takes the neg side's collapse whatever
+    the method.  The empty charset is the inconsistent theory and entails
     everything.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    n = charset.n
+    _check_query(c, alpha, n)
     if method not in ("neg", "pos", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    n = charset.n
-    if c.width > n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={n}")
     if not len(charset):
         return Decision(True)
-    if alpha >= len(c):
-        base = int(np.bitwise_and.reduce(charset.bits_array))
-        return Decision(False, witness=_falsifier_near(base, c, n))
     if method == "auto":
-        method = (
-            "neg"
-            if _predicted_neg_count(c, alpha) <= _predicted_pos_count(c, alpha, len(charset))
-            else "pos"
-        )
-    if method == "neg":
-        return _exterior_charset_neg(charset, c, alpha, cap)
-    return _exterior_charset_pos(charset, c, alpha, cap)
-
-
-def _exterior_charset_neg(charset: ModelSet, c: Clause, alpha: int, cap: int) -> Decision:
-    n = charset.n
-    if _predicted_neg_count(c, alpha) > cap:
-        raise EnumerationLimitError(f"subset enumeration exceeds the cap of {cap}")
-    nlist = sorted(c.neg)
-    nn = len(nlist)
-    pos_bits = c.pos_mask
-    for drop in range(min(alpha, nn) + 1):
-        for removed in combinations(nlist, drop):
-            s = frozenset(nlist) - frozenset(removed)
-            w = min_model_above(charset, Model(n, index_mask(s)))
-            if w is None:
-                continue
-            need = alpha - nn + len(s) + 1
-            good = (w.bits & pos_bits).bit_count()
-            if good < need:
-                return Decision(False, witness=_falsifier_near(w.bits, c, n))
-    return Decision(True)
+        pos_count = _predicted_pos_count(c, alpha, len(charset))
+        method = "neg" if _neg_count(c, alpha) <= pos_count else "pos"
+    if method == "pos" and alpha < len(c):
+        return _exterior_charset_pos(charset, c, alpha, cap)
+    return _exterior_neg(
+        lambda s: min_model_above(charset, Model(n, index_mask(s))), c, alpha, n, cap
+    )
 
 
 def _exterior_charset_pos(charset: ModelSet, c: Clause, alpha: int, cap: int) -> Decision:

@@ -36,6 +36,7 @@ from .core import (
     Model,
     ModelSet,
     Term,
+    _check_query,
     index_mask,
     iter_flip_masks,
     mask_indices,
@@ -242,10 +243,7 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     the query's own derivation, cut where YES fired: a YES from P(c)
     meeting F0 cuts the base derivation before its first variable in P(c).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if c.width > t.n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
+    _check_query(c, alpha, t.n)
     prop = propagator(t)
     base = interior_base(prop, alpha)
     order, inside = base.order, base.inside
@@ -305,11 +303,8 @@ def deduce_interior_charset(
     case J meeting N(c) or P(c); the procedure applies it to the grown set
     N, which the fuzz suite validates against the enumeration oracle.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     n = charset.n
-    if c.width > n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={n}")
+    _check_query(c, alpha, n)
     if not len(charset):
         return Decision(True)
     if sum(comb(n, i) for i in range(min(alpha, n) + 1)) > cap:

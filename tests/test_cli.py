@@ -205,3 +205,55 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "YES"
+
+
+def test_oracle_charset_caps_n_before_closing(tmp_path, monkeypatch, capsys):
+    # At n = 30 the closure could grow toward 2^30 members; the n cap must
+    # fire before any closure runs.
+    def no_closure(ms):
+        pytest.fail("the closure ran before the n cap")
+
+    monkeypatch.setattr("hornsafe.cli.intersection_closure", no_closure, raising=False)
+    monkeypatch.setattr("hornsafe.oracle.intersection_closure", no_closure)
+    monkeypatch.setattr("hornsafe.engine.intersection_closure", no_closure)
+    path = tmp_path / "wide.models"
+    rows = ["1" * 30, "0" * 29 + "1", "10" * 15]
+    path.write_text(f"p models 30 {len(rows)}\n" + "\n".join(rows) + "\n")
+    for mode in ("interior", "exterior", "envelope"):
+        code = main(["oracle", "--mode", mode, "--alpha", "1",
+                     "--charset", str(path), "--clause", "-1"])
+        assert code == 2
+        assert "capped" in capsys.readouterr().err
+
+
+def test_route_table_passes_method_to_exterior_charset_only(ex2_file, m1_file, monkeypatch):
+    import hornsafe.cli as cli
+
+    calls = []
+    for name in ("deduce_interior_formula", "deduce_exterior_formula",
+                 "deduce_envelope_formula", "deduce_interior_charset",
+                 "deduce_exterior_charset", "deduce_envelope_charset"):
+        real = getattr(cli, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    for source in (["--theory", ex2_file], ["--charset", m1_file]):
+        for mode in ("interior", "exterior", "envelope"):
+            code = main(["deduce", "--mode", mode, "--alpha", "1", *source,
+                         "--clause", "-1 -2", "--method", "pos"])
+            assert code in (0, 1)
+    assert calls == [
+        ("deduce_interior_formula", {}),
+        ("deduce_exterior_formula", {}),
+        ("deduce_envelope_formula", {}),
+        ("deduce_interior_charset", {}),
+        ("deduce_exterior_charset", {"method": "pos"}),
+        ("deduce_envelope_charset", {}),
+    ]
+    calls.clear()
+    assert main(["bench", "--mode", "exterior", "--repr", "charset", "--count", "2",
+                 "--n", "5", "--m", "5", "-o", str(ex2_file) + ".csv"]) == 0
+    assert [(n, k.get("method", "auto")) for n, k in calls] == [("deduce_exterior_charset", "auto")] * 2

@@ -104,3 +104,30 @@ class TestOracleEquivalence:
                 deduce_envelope_formula(theory, clause, 0).entailed
                 == entails(theory, clause).entailed
             )
+
+
+def test_every_no_witness_lies_in_the_envelope():
+    # Condition (i) witnesses (trace set) and cover witnesses (no trace) from
+    # both routes, checked against the enumerated envelope.
+    rng = random.Random(60606)
+    cover_hits = {("formula", "empty P(c)"): 0, ("formula", "|P(c)| >= 2"): 0,
+                  ("charset", "empty P(c)"): 0, ("charset", "|P(c)| >= 2"): 0}
+    for i in range(400):
+        theory, clause, alpha = random_instance(rng, max_n=8, force_inconsistent=i % 5 == 0)
+        mod = all_models(theory)
+        target = envelope_models(exterior_models(mod, alpha))
+        for name, d in (
+            ("formula", deduce_envelope_formula(theory, clause, alpha)),
+            ("charset", deduce_envelope_charset(characteristic_set(mod), clause, alpha)),
+        ):
+            assert d.entailed == oracle_deduce(target, clause)
+            if d.entailed:
+                continue
+            assert d.witness in target
+            assert not eval_clause(clause, d.witness)
+            if not d.trace:
+                shape = "empty P(c)" if not clause.pos else (
+                    "|P(c)| >= 2" if len(clause.pos) >= 2 else None)
+                if shape:
+                    cover_hits[name, shape] += 1
+    assert min(cover_hits.values()) >= 3, cover_hits

@@ -124,3 +124,54 @@ class TestOracleEquivalence:
                 deduce_exterior_formula(theory, clause, 0).entailed
                 == entails(theory, clause).entailed
             )
+
+
+def _merge_cases(seed, count):
+    """Random (theory, clause, alpha) over n <= 10, a third of the theories
+    inconsistent, alpha in {0, 1, 2, |c|, |c| + 1}."""
+    rng = random.Random(seed)
+    for i in range(count):
+        theory, clause, _ = random_instance(rng, max_n=10, force_inconsistent=i % 3 == 0)
+        for alpha in sorted({0, 1, 2, len(clause), len(clause) + 1}):
+            yield theory, clause, alpha
+
+
+def test_formula_and_charset_neg_give_equal_decisions():
+    # One neg-side loop serves both routes; only the "minimal model above S"
+    # oracle differs, so whole decisions (witness and trace too) agree.
+    seen_no = 0
+    for theory, clause, alpha in _merge_cases(5150, 300):
+        cs = characteristic_set(all_models(theory))
+        df = deduce_exterior_formula(theory, clause, alpha)
+        assert df == deduce_exterior_charset(cs, clause, alpha, method="neg")
+        seen_no += not df.entailed
+    assert seen_no > 200
+
+
+def test_formula_and_charset_neg_raise_on_the_same_over_cap_query(ex2, ex2_charset):
+    wide = Clause(neg={1, 2, 3, 4})
+    routes = (
+        lambda alpha, cap: deduce_exterior_formula(ex2, wide, alpha, cap=cap),
+        lambda alpha, cap: deduce_exterior_charset(ex2_charset, wide, alpha, method="neg", cap=cap),
+    )
+    for route in routes:
+        # 1 + 4 + 6 = 11 subsets of N(c) at alpha = 2.
+        with pytest.raises(EnumerationLimitError):
+            route(2, 10)
+    assert routes[0](2, 11) == routes[1](2, 11)
+    # alpha >= |c| collapses to one oracle call, whatever the cap.
+    assert routes[0](4, 0) == routes[1](4, 0)
+    assert not routes[0](4, 0).entailed
+
+
+def test_charset_collapse_ignores_method(ex2_charset):
+    # At alpha >= |c| every method takes the neg side's single above(()) call.
+    c = Clause(pos={3}, neg={1})
+    decisions = {
+        deduce_exterior_charset(ex2_charset, c, alpha, method=m)
+        for m in ("neg", "pos", "auto")
+        for alpha in (2, 3)
+    }
+    assert len(decisions) == 1
+    (d,) = decisions
+    assert not d.entailed and d.witness.to01() == "1000"  # AND of all members is 0000
