@@ -82,11 +82,8 @@ class Model:
         """Build a model from a 01-row, leftmost character = ``x1``."""
         if not row or set(row) - {"0", "1"}:
             raise ValueError(f"not a 01-row: {row!r}")
-        bits = 0
-        for i, ch in enumerate(row):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(row), bits)
+        # Validated first: int() would also accept "_" and whitespace.
+        return cls(len(row), int(row[::-1], 2))
 
     @classmethod
     def from_on(cls, n: int, on: Iterable[int]) -> "Model":
@@ -94,7 +91,7 @@ class Model:
         return cls(n, index_mask(on))
 
     def to01(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def on_set(self) -> frozenset[int]:
         return mask_indices(self.bits)

@@ -202,38 +202,83 @@ def charset_entails(charset: ModelSet, c: Clause) -> Decision:
     return Decision(False, witness=w)
 
 
+_BLOCK = 1 << 22  # elements per pairwise block (32 MB of uint64)
+
+
 def intersection_closure(ms: ModelSet) -> ModelSet:
     """Smallest superset of ``ms`` closed under componentwise AND.
 
-    Fixpoint iteration on numpy arrays; the result can grow to 2^n, so
-    callers at large ``n`` are expected to keep their sets small.
+    Semi-naive evaluation: ``closed`` and the first frontier are the
+    distinct members (the generators); each round ANDs only the frontier
+    with the generators, and the products not yet in ``closed`` become the
+    next frontier.  Every element of the closure is the AND of some k
+    generators, hence is reached by round k, and each element is ANDed with
+    the generators once: O(|closure| x |generators|) pairs in blocks of
+    :data:`_BLOCK`.  The result can grow to 2^n, so callers at large ``n``
+    are expected to keep their sets small.
     """
     if not len(ms):
         return ms
+    gens = np.unique(ms.bits_array)
+    closed = frontier = gens
+    rows = max(1, _BLOCK // gens.size)
+    while frontier.size:
+        fresh = []
+        for lo in range(0, frontier.size, rows):
+            cand = np.unique(np.bitwise_and.outer(frontier[lo:lo + rows], gens))
+            fresh.append(cand[~np.isin(cand, closed, assume_unique=True)])
+        frontier = np.unique(np.concatenate(fresh))
+        closed = np.concatenate((closed, frontier))
+    return ModelSet.from_bits(ms.n, closed.tolist())
+
+
+def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
+    """The extracted members of ``ms`` and whether ``ms`` is AND-closed.
+
+    Extraction keeps member m iff m is the all-ones vector, or for some bit
+    i with m_i = 0 no other member x >= m has x_i = 0.  That is the
+    definitional rule (m is not the AND of the strictly greater members,
+    maximal members kept): the AND of the members above m differs from m
+    exactly at the bits no other member above m turns off.  Both counts are
+    float32 matrix products over the members' 0/1 bit matrices, one per row
+    block: x >= m iff no bit is on in m and off in x, and then the members
+    x >= m with x_i = 0 are counted per bit i.  Only "count == 0" and
+    "count == 1" are read, which a float sum of 0/1 products gets exactly
+    at any size.
+
+    The closure check then tests every ``m & g`` for m a member and g an
+    extracted member: every member is the AND of the extracted members above
+    it (induction downward from the maximal members), so ``a & b`` is a chain
+    of such single steps starting from ``a``.  O(|M|^2 n) for the extraction
+    and O(|M| x |extracted|) for the check, both in blocks of :data:`_BLOCK`.
+    """
     arr = np.unique(ms.bits_array)
-    while True:
-        rows = max(1, (1 << 22) // arr.size)  # bound each outer block to ~32MB
-        chunks = [arr]
-        for lo in range(0, arr.size, rows):
-            block = arr[lo:lo + rows]
-            chunks.append(np.unique(np.bitwise_and.outer(block, arr).ravel()))
-        grown = np.unique(np.concatenate(chunks))
-        if grown.size == arr.size:
-            return ModelSet.from_bits(ms.n, arr.tolist())
-        arr = grown
+    if not arr.size:
+        return arr, True
+    ones = (arr[:, None] >> np.arange(ms.n, dtype=np.uint64) & np.uint64(1)).astype(np.float32)
+    zeros = 1 - ones
+    rows = max(1, _BLOCK // arr.size)
+    keep = arr == np.uint64((1 << ms.n) - 1)
+    for lo in range(0, arr.size, rows):
+        above = ones[lo:lo + rows] @ zeros.T == 0   # above[k, x]: member x >= member lo+k
+        keep[lo:lo + rows] |= (above.astype(np.float32) @ zeros == 1).any(axis=1)
+    gens = arr[keep]
+    rows = max(1, _BLOCK // gens.size)
+    closed = all(
+        np.isin(np.bitwise_and.outer(arr[lo:lo + rows], gens), arr).all()
+        for lo in range(0, arr.size, rows)
+    )
+    return gens, closed
 
 
 def is_intersection_closed(ms: ModelSet) -> bool:
-    """Check closure under AND without materialising the closure."""
-    if len(ms) <= 1:
-        return True
-    arr = np.unique(ms.bits_array)
-    rows = max(1, (1 << 22) // arr.size)
-    for lo in range(0, arr.size, rows):
-        block = np.unique(np.bitwise_and.outer(arr[lo:lo + rows], arr).ravel())
-        if not np.isin(block, arr, assume_unique=True).all():
-            return False
-    return True
+    """Check closure under AND without materialising the closure.
+
+    Extracts the characteristic members and checks that ANDing every member
+    with each of them stays in the set (see :func:`_characteristic` for why
+    that suffices).
+    """
+    return _characteristic(ms)[1]
 
 
 def characteristic_set(ms: ModelSet) -> ModelSet:
@@ -241,16 +286,13 @@ def characteristic_set(ms: ModelSet) -> ModelSet:
 
     A member is characteristic when it is not the AND of other members;
     equivalently, the AND of all strictly greater members differs from it.
-    The input must be AND-closed (it is meant to be the full model set of a
-    Horn theory), otherwise ValueError is raised.
+    It is kept iff it is the all-ones vector or, for some bit it turns off,
+    no other member above it turns that bit off.  The input must be
+    AND-closed (it is meant to be the full model set of a Horn theory),
+    otherwise ValueError is raised; closure is checked in one pass against
+    the extracted members (:func:`_characteristic`).
     """
-    if not is_intersection_closed(ms):
+    gens, closed = _characteristic(ms)
+    if not closed:
         raise ValueError("model set is not closed under intersection")
-    arr = ms.bits_array
-    keep = []
-    for m in ms:
-        vb = np.uint64(m.bits)
-        above = arr[(arr & vb == vb) & (arr != vb)]
-        if not above.size or int(np.bitwise_and.reduce(above)) != m.bits:
-            keep.append(m.bits)
-    return ModelSet.from_bits(ms.n, keep)
+    return ModelSet.from_bits(ms.n, gens.tolist())

@@ -73,7 +73,9 @@ def _exterior_neg(
     ``above(S)`` returns the minimal model of the base with S fixed true,
     or None when there is none.  ``alpha >= |c|`` collapses the query to
     ``above(())``: the interior of ``c`` is then unsatisfiable, so only an
-    unsatisfiable base entails it.
+    unsatisfiable base entails it.  Over ``cap`` subsets, one ``above(())``
+    call still settles an unsatisfiable base (every S is skipped, YES)
+    before EnumerationLimitError is raised.
     """
     if alpha >= len(c):
         base = above(())
@@ -82,6 +84,8 @@ def _exterior_neg(
         return Decision(False, witness=_falsifier_near(base.bits, c, n))
     total = _neg_count(c, alpha)
     if total > cap:
+        if above(()) is None:
+            return Decision(True)
         raise EnumerationLimitError(
             f"{total} subsets of N(c) to enumerate (cap {cap}); "
             "consider the charset route or the enumeration oracle"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Clause, HornTheory, ModelSet, iter_flip_masks
-from .engine import intersection_closure
 
 ORACLE_MAX_VARS = 24
 
@@ -23,15 +22,18 @@ def _check_n(n: int) -> None:
 
 
 def all_models(t: HornTheory) -> ModelSet:
-    """Exact mod(t) by evaluating every assignment."""
+    """Exact mod(t) by evaluating every assignment.
+
+    The assignments are filtered clause by clause, so each clause is only
+    evaluated on the assignments that satisfy the clauses before it; one
+    AND and one compare per assignment and clause.
+    """
     _check_n(t.n)
-    arr = np.arange(1 << t.n, dtype=np.uint64)
-    keep = np.ones(arr.size, dtype=bool)
+    arr = np.arange(1 << t.n, dtype=np.uint32)  # n <= ORACLE_MAX_VARS < 32
     for c in t.clauses:
-        pm = np.uint64(c.pos_mask)
-        nm = np.uint64(c.neg_mask)
-        keep &= ((arr & pm) != 0) | ((~arr & nm) != 0)
-    return ModelSet.from_bits(t.n, arr[keep].tolist())
+        # A clause fails exactly where N(c) is all true and P(c) all false.
+        arr = arr[arr & np.uint32(c.pos_mask | c.neg_mask) != np.uint32(c.neg_mask)]
+    return ModelSet.from_bits(t.n, arr.tolist())
 
 
 def _member_mask(ms: ModelSet) -> np.ndarray:
@@ -67,6 +69,25 @@ def exterior_models(ms: ModelSet, alpha: int) -> ModelSet:
         if f:
             acc |= member[idx ^ np.uint64(f)]
     return ModelSet.from_bits(ms.n, np.flatnonzero(acc).tolist())
+
+
+def intersection_closure(ms: ModelSet) -> ModelSet:
+    """Reference AND-closure: AND every pair of the whole set until nothing
+    new appears.  Kept naive and apart from the engine's semi-naive closure,
+    so the envelope oracle never checks that code against itself."""
+    if not len(ms):
+        return ms
+    arr = np.unique(ms.bits_array)
+    while True:
+        rows = max(1, (1 << 22) // arr.size)  # bound each outer block to ~32MB
+        chunks = [arr]
+        for lo in range(0, arr.size, rows):
+            block = arr[lo:lo + rows]
+            chunks.append(np.unique(np.bitwise_and.outer(block, arr).ravel()))
+        grown = np.unique(np.concatenate(chunks))
+        if grown.size == arr.size:
+            return ModelSet.from_bits(ms.n, arr.tolist())
+        arr = grown
 
 
 def envelope_models(ms: ModelSet) -> ModelSet:

@@ -175,3 +175,15 @@ def test_charset_collapse_ignores_method(ex2_charset):
     assert len(decisions) == 1
     (d,) = decisions
     assert not d.entailed and d.witness.to01() == "1000"  # AND of all members is 0000
+
+
+def test_over_cap_query_on_inconsistent_theory_matches_charset():
+    # No model at all: one above(()) call settles the query before the cap.
+    t = HornTheory(8, (Clause(pos={1}), Clause(neg={1})))
+    wide = Clause(pos={8}, neg=frozenset(range(1, 8)))  # 1 + 7 + 21 subsets at alpha 2
+    cs = characteristic_set(all_models(t))
+    assert not len(cs)
+    for alpha in (1, 2, 3):
+        d = deduce_exterior_formula(t, wide, alpha, cap=1)
+        assert d == deduce_exterior_charset(cs, wide, alpha, cap=1)
+        assert d.entailed
