@@ -2,8 +2,8 @@
 
 Subcommands: ``deduce`` (the polynomial procedures), ``oracle`` (the same
 queries by exhaustive enumeration, for debugging), ``convert`` (Horn CNF to
-characteristic set), ``gen`` (random / reduction instances plus a JSON
-manifest), and ``bench`` (CSV timings over generated batches).
+characteristic set) and ``gen`` (random / reduction instances plus a JSON
+manifest).
 
 Exit codes follow the grep convention: 0 = entailed (YES), 1 = not entailed
 (NO), 2 = error or resource cap.
@@ -12,13 +12,9 @@ Exit codes follow the grep convention: 0 = entailed (YES), 1 = not entailed
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import random
 import re
 import sys
-import time
 from pathlib import Path
 
 from .core import (
@@ -207,47 +203,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    rows = []
-    for idx in range(args.count):
-        theory = random_horn(args.n, args.m, args.max_len, seed=rng.getrandbits(63))
-        length = rng.randint(0, min(4, args.n))
-        variables = rng.sample(range(1, args.n + 1), length)
-        pos = frozenset(v for v in variables if rng.random() < 0.5)
-        clause = Clause(pos=pos, neg=frozenset(variables) - pos)
-        if args.repr == "formula":
-            kb, size = theory, theory.size
-        else:
-            kb = characteristic_set(all_models(theory))
-            size = args.n * len(kb)
-        run = _ROUTES[args.repr, args.mode]
-        start = time.perf_counter()
-        run(kb, clause, args.alpha, "auto")
-        elapsed = time.perf_counter() - start
-        rows.append(
-            {
-                "instance": idx,
-                "mode": f"{args.mode}-{args.repr}",
-                "alpha": args.alpha,
-                "clause_neg": len(clause.neg),
-                "size": size,
-                "seconds": f"{elapsed:.6f}",
-            }
-        )
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["instance", "mode", "alpha", "clause_neg", "size", "seconds"]
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.output:
-        Path(args.output).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    return 0
-
-
 def _add_query_arguments(sub: argparse.ArgumentParser, with_method: bool) -> None:
     sub.add_argument("--mode", choices=["interior", "exterior", "envelope"], required=True)
     sub.add_argument("--alpha", type=int, required=True)
@@ -307,17 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=".")
     gen.set_defaults(func=cmd_gen)
 
-    bench = sub.add_parser("bench", help="time deduce over a generated batch, emit CSV")
-    bench.add_argument("--mode", choices=["interior", "exterior", "envelope"], required=True)
-    bench.add_argument("--repr", choices=["formula", "charset"], default="formula")
-    bench.add_argument("--count", type=int, default=20)
-    bench.add_argument("--n", type=int, default=10)
-    bench.add_argument("--m", type=int, default=15)
-    bench.add_argument("--max-len", type=int, default=4)
-    bench.add_argument("--alpha", type=int, default=1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("-o", "--output", metavar="FILE.csv")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -19,11 +19,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from itertools import chain, combinations
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,23 +41,27 @@ class EnumerationLimitError(RuntimeError):
 
 
 def index_mask(indices: Iterable[int]) -> int:
-    """Pack 1-based variable indices into a bit mask (bit ``i-1`` for ``x_i``)."""
-    m = 0
-    for i in indices:
-        m |= 1 << (i - 1)
-    return m
+    """Pack 1-based variable indices (any order, repeats allowed) into a bit
+    mask, bit ``i-1`` for ``x_i``.  Each OR copies the int, O(n/64) words,
+    so up to 64 indices (any set when n <= 64) are ORed in, O(n) words in
+    all, and more are set in a byte row that numpy packs in one pass."""
+    idx = list(indices)
+    if len(idx) <= 64:
+        m = 0
+        for i in idx:
+            m |= 1 << (i - 1)
+        return m
+    if min(idx) < 1:
+        raise ValueError(f"variable index must be positive, got {min(idx)}")
+    row = np.zeros(max(idx), np.uint8)
+    row[np.array(idx) - 1] = 1
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def mask_indices(mask: int) -> frozenset[int]:
     """Unpack a bit mask into the 1-based variable indices it contains."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    row = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return frozenset((np.flatnonzero(np.unpackbits(row, bitorder="little")) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -192,17 +197,58 @@ class Term:
         return len(self.pos) + len(self.neg)
 
 
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
+
+
+class FlatClauses(NamedTuple):
+    """A Horn clause list as three ``int32`` arrays, clause ids in input order.
+
+    Clause k has head ``heads[k]`` (0 when it has no positive literal) and
+    body ``body[offsets[k]:offsets[k + 1]]``: its negative indices, ascending.
+    """
+
+    heads: np.ndarray
+    offsets: np.ndarray
+    body: np.ndarray
+
+    @classmethod
+    def from_clauses(cls, n: int, clauses: tuple[Clause, ...]) -> "FlatClauses":
+        m = len(clauses)
+        heads = np.fromiter((max(c.pos, default=0) for c in clauses), np.int32, m)
+        sizes = np.fromiter((len(c.neg) for c in clauses), np.int64, m)
+        # Sorting clause id * (n + 1) + index orders each body, and only it.
+        keys = np.fromiter(chain.from_iterable(c.neg for c in clauses), np.int64, int(sizes.sum()))
+        keys += np.repeat(np.arange(m, dtype=np.int64) * (n + 1), sizes)
+        keys.sort()
+        return cls(heads, _offsets(sizes), (keys % (n + 1)).astype(np.int32))
+
+    def to_clauses(self) -> tuple[Clause, ...]:
+        # One int object per index and one frozenset per head; a frozenset
+        # built from a set gets a table sized to its contents.
+        heads, offsets, body = self.heads.tolist(), self.offsets.tolist(), self.body.tolist()
+        canon = {i: i for i in {*heads, *body}}
+        heads, body = list(map(canon.__getitem__, heads)), list(map(canon.__getitem__, body))
+        unit = {h: frozenset((h,)) if h else frozenset() for h in set(heads)}
+        return tuple(Clause(unit[h], frozenset(set(body[lo:hi])))
+                     for h, lo, hi in zip(heads, offsets, offsets[1:]))
+
+
 @dataclass(frozen=True)
 class HornTheory:
     """A set of Horn clauses over variables ``1..n``, input order preserved.
 
-    The formula routes keep the theory's propagation index on the object
-    itself, outside the dataclass fields (see :func:`hornsafe.engine.propagator`);
-    pickling or copying a theory leaves the index behind.
+    The clauses are held as ``clauses`` (a tuple of :class:`Clause`) and as
+    ``flat`` (:class:`FlatClauses`, which the propagation index is built
+    from); either is derived from the other on first use and then kept.  A
+    parsed theory starts with ``flat`` only.  The formula routes keep the
+    propagation index on the object too (:func:`hornsafe.engine.propagator`);
+    pickling or copying carries ``n`` and ``flat`` only.
     """
 
     n: int
-    clauses: tuple[Clause, ...] = ()
+    # A default factory leaves no class attribute to shadow __getattr__.
+    clauses: tuple[Clause, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= FORMULA_MAX_VARS:
@@ -222,20 +268,37 @@ class HornTheory:
                 kept.append(c)
         object.__setattr__(self, "clauses", tuple(kept))
 
+    @classmethod
+    def _of_flat(cls, n: int, flat: FlatClauses) -> "HornTheory":
+        t = object.__new__(cls)  # validated, duplicate-free arrays: no __post_init__
+        t.__dict__.update(n=n, flat=flat)
+        return t
+
+    def __getattr__(self, name: str):
+        # Only reached for the form of the clauses not derived yet; it is
+        # published once fully built.
+        have = self.__dict__
+        if name == "clauses" and "flat" in have:
+            value = have["flat"].to_clauses()
+        elif name == "flat" and "clauses" in have:
+            value = FlatClauses.from_clauses(have["n"], have["clauses"])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_propagator", None)
-        return state
+        return {"n": self.n, "flat": self.flat}
 
     @property
     def size(self) -> int:
         """Total literal count across clauses (the usual input-length measure)."""
-        return sum(len(c) for c in self.clauses)
+        return len(self.flat.body) + int(np.count_nonzero(self.flat.heads))
 
     @property
     def is_negative(self) -> bool:
         """True iff no clause has a positive literal."""
-        return all(not c.pos for c in self.clauses)
+        return not self.flat.heads.any()
 
     def satisfied_by(self, v: Model) -> bool:
         return all(eval_clause(c, v) for c in self.clauses)
@@ -361,7 +424,8 @@ def neighborhood(v: Model, alpha: int) -> ModelSet:
 #
 # Horn CNF:   comment lines start with 'c'; header 'p hcnf <n> <m>'; one
 #             clause per line as signed integers terminated by 0; at most
-#             one positive integer per line.
+#             one positive integer per line.  A clause token matches
+#             -?[0-9]+ and tokens are separated by spaces and tabs.
 # Model set:  header 'p models <n> <k>' followed by k rows of {0,1}^n,
 #             leftmost character = x1.
 # ---------------------------------------------------------------------------
@@ -392,65 +456,117 @@ def _parse_header(line: str, lineno: int, kind: str, max_n: int) -> tuple[int, i
     return n, count
 
 
+_TOKEN = re.compile(r"-?[0-9]+")
+_BREAK = -(1 << 62)  # joins the clause lines for the numeric pass; out of range for any n
+
+
+def _flat_clauses(n: int, lines: list[str]) -> Optional[FlatClauses]:
+    """The clause lines as flat arrays, repeated literals collapsed, in a
+    few array passes; None when some line is malformed."""
+    if not lines:
+        return FlatClauses.from_clauses(n, ())
+    try:
+        raw = f" {_BREAK} ".join(lines).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # Only digits, '-', spaces and tabs, and each '-' after a separator or
+    # the start (index -1 reads the pad) and before a digit.
+    chars = np.frombuffer(raw + b" ", np.uint8)
+    minus = np.flatnonzero(chars == ord("-"))
+    after, before = chars[minus + 1], chars[minus - 1]
+    if (raw.translate(None, b"0123456789- \t") or ((after < ord("0")) | (after > ord("9"))).any()
+            or ((before != ord(" ")) & (before != ord("\t"))).any()):
+        return None
+    vals = np.fromstring(raw, dtype=np.int64, sep=" ")  # saturates, never wraps
+    breaks, zero = np.flatnonzero(vals == _BREAK), vals == 0
+    # Each line's last token, before its break or the end, is its only 0.
+    if (breaks.size != len(lines) - 1 or np.count_nonzero(zero) != len(lines)
+            or not zero[np.append(breaks, vals.size) - 1].all()):
+        return None
+    lit = ~zero
+    lit[breaks] = False
+    line, vals = np.cumsum(zero)[lit], vals[lit]
+    if vals.size and (vals.max() > n or vals.min() < -n):
+        return None
+    # Sorted (line, index, sign) keys: repeats collapse, an index's signs meet.
+    shift = n.bit_length() + 1
+    key = np.sort(line << shift | np.abs(vals) << 1 | (vals > 0))
+    key = key[np.diff(key, prepend=-1) != 0]
+    line, var, head = key >> shift, (key >> 1) & ((1 << shift - 1) - 1), (key & 1).astype(bool)
+    if (np.diff(key >> 1) == 0).any() or (np.diff(line[head]) == 0).any():
+        return None  # an index with both signs, or two positive literals
+    heads = np.zeros(len(lines), np.int32)
+    heads[line[head]] = var[head]
+    sizes = np.bincount(line[~head], minlength=len(lines))
+    return FlatClauses(heads, _offsets(sizes), var[~head].astype(np.int32))
+
+
+def _drop_duplicates(flat: FlatClauses) -> tuple[FlatClauses, list[int]]:
+    """Keep the first of equal clauses, keyed by the bytes of the head and
+    the ascending body; also returns the ids dropped."""
+    heads, offsets, body = flat
+    raw = np.insert(body, offsets[:-1], heads).tobytes()
+    cuts = (4 * (offsets + np.arange(len(offsets)))).tolist()
+    keys = [raw[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # key -> first id
+    if len(first) == len(keys):
+        return flat, []
+    keep = np.zeros(len(keys), bool)
+    keep[list(first.values())] = True
+    sizes = np.diff(offsets)
+    return (FlatClauses(heads[keep], _offsets(sizes[keep]), body[np.repeat(keep, sizes)]),
+            np.flatnonzero(~keep).tolist())
+
+
+def _clause_line_error(n: int, m: int, numbered: list[tuple[int, str]]) -> ParseError:
+    """The error of the first bad clause line in file order, or of the
+    clause count: the rescan once the array pass rejects the input."""
+    for read, (lineno, line) in enumerate(numbered, start=1):
+        tokens = re.split(r"[ \t]+", line)
+        if not all(map(_TOKEN.fullmatch, tokens)):
+            return ParseError(f"line {lineno}: non-integer clause token in {line!r}")
+        *lits, last = map(int, tokens)
+        pos, neg = {l for l in lits if l > 0}, {-l for l in lits if l < 0}
+        top = max(map(abs, lits), default=0)
+        if last != 0:
+            return ParseError(f"line {lineno}: clause line must end with 0")
+        if 0 in lits:
+            return ParseError(f"line {lineno}: literal 0 inside a clause")
+        if len(pos) > 1:
+            return ParseError(f"line {lineno}: {len(pos)} positive literals in a Horn clause")
+        if pos & neg:
+            return ParseError(f"line {lineno}: indices {sorted(pos & neg)} occur with both signs")
+        if top > n:
+            return ParseError(f"line {lineno}: index {top} out of range (n={n})")
+        if read > m:
+            return ParseError(f"line {lineno}: more clauses than the header announced ({m})")
+    return ParseError(f"header announced {m} clauses, file has {len(numbered)}")
+
+
 def parse_horn_cnf(text: str | bytes) -> HornTheory:
     """Parse the ``p hcnf`` format into a validated :class:`HornTheory`.
 
     Duplicate clauses are dropped with a warning; clause order is file order.
-    Clauses share one int object per variable index and one frozenset per
-    distinct head, which keeps a large theory's memory down.
+    The clause lines are converted in one numpy pass and checked with array
+    operations into the theory's ``flat`` arrays; no :class:`Clause` is
+    built until something reads ``clauses``.  The lines are walked one by
+    one again only to name a bad line or a duplicate.
     """
-    header = None
-    clauses: list[Clause] = []
-    seen: set[Clause] = set()
-    variables: dict[int, int] = {}            # one int object per index seen
-    heads: dict[int, frozenset[int]] = {0: frozenset()}
-    read = 0  # clause lines, duplicates included (the header counts lines)
-    for lineno, line in _lines(text):
-        if header is None:
-            header = _parse_header(line, lineno, "hcnf", FORMULA_MAX_VARS)
-            continue
-        n, m = header
-        try:
-            lits = list(map(int, line.split()))
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer clause token in {line!r}") from None
-        if not lits or lits[-1] != 0:
-            raise ParseError(f"line {lineno}: clause line must end with 0")
-        del lits[-1]
-        if 0 in lits:
-            raise ParseError(f"line {lineno}: literal 0 inside a clause")
-        pos = {l for l in lits if l > 0}
-        neg = {-l for l in lits if l < 0}
-        if len(pos) > 1:
-            raise ParseError(f"line {lineno}: {len(pos)} positive literals in a Horn clause")
-        if pos & neg:
-            raise ParseError(
-                f"line {lineno}: indices {sorted(pos & neg)} occur with both signs"
-            )
-        top = max(map(abs, lits), default=0)
-        if top > n:
-            raise ParseError(f"line {lineno}: index {top} out of range (n={n})")
-        read += 1
-        if read > m:
-            raise ParseError(f"line {lineno}: more clauses than the header announced ({m})")
-        head = pos.pop() if pos else 0
-        if head not in heads:
-            heads[head] = frozenset((variables.setdefault(head, head),))
-        # Built from a set, a frozenset gets a table sized to its contents.
-        clause = Clause(heads[head], frozenset({variables.setdefault(i, i) for i in neg}))
-        size = len(seen)
-        seen.add(clause)  # one hash per clause; the set grows only for a new one
-        if len(seen) == size:
-            warnings.warn(f"line {lineno}: duplicate clause dropped: {line!r}")
-        else:
-            clauses.append(clause)
+    walk = _lines(text)
+    lineno, header = next(walk, (0, None))
     if header is None:
         raise ParseError("missing 'p hcnf' header")
-    del seen, variables, heads
-    n, m = header
-    if read != m:
-        raise ParseError(f"header announced {m} clauses, file has {read}")
-    return HornTheory(n, tuple(clauses))
+    n, m = _parse_header(header, lineno, "hcnf", FORMULA_MAX_VARS)
+    lines = [line for _, line in walk]
+    flat = _flat_clauses(n, lines) if len(lines) == m else None
+    if flat is None:
+        raise _clause_line_error(n, m, list(_lines(text))[1:])
+    flat, dropped = _drop_duplicates(flat)
+    if dropped:
+        numbered = list(_lines(text))[1:]
+        for k in dropped:
+            warnings.warn(f"line {numbered[k][0]}: duplicate clause dropped: {lines[k]!r}")
+    return HornTheory._of_flat(n, flat)
 
 
 def serialize_horn_cnf(t: HornTheory) -> str:

@@ -29,17 +29,22 @@ class HornPropagator:
 
     Clauses are viewed as rules ``body -> head`` with the body being the
     negative index set; a clause with no positive literal is a pure
-    constraint whose fully-true body is a conflict.  Construction is linear
-    in the theory size and records, per clause id (input order), the head
-    (0 when there is no positive literal) and the body size; per variable,
-    the ids of the clauses whose body contains it (occurrence lists); and
-    the ids of the clauses with an empty body (``facts``).
+    constraint whose fully-true body is a conflict.  The index records, per
+    clause id (input order), the head (0 when there is no positive literal)
+    and the body size; per variable, the ids of the clauses whose body
+    contains it, ascending (occurrence lists); and the ids of the clauses
+    with an empty body (``facts``).
 
-    The index keeps no reference to the theory, so it never holds a theory
-    alive.  Each :meth:`minimal_model` call copies the body sizes, seeds
-    from the fact list and then touches only the occurrence lists of
-    variables it sets true: O(theory size + n) at worst.  Routes take the
-    index through :func:`propagator`, which builds it once per theory.
+    The one builder reads the theory's flat arrays
+    (:class:`~hornsafe.core.FlatClauses`), parsed or derived from clauses:
+    one sort of (variable, clause id) pairs lays out every occurrence list
+    at once, as MiniSat's (Een & Sorensson, 2003).  The index keeps no
+    reference to the theory, so it never holds a theory alive.  Each
+    :meth:`minimal_model` call copies the body sizes, seeds from the fact
+    list and then touches only the occurrence lists of variables it sets
+    true: O(theory size + n) at worst (Dowling & Gallier, 1984).  Routes
+    take the index through :func:`propagator`, which builds it once per
+    theory.
 
     ``interior_bases`` maps alpha to the query-independent part of the
     alpha-interior deduction (:func:`hornsafe.interior.interior_base`),
@@ -48,24 +53,23 @@ class HornPropagator:
     """
 
     def __init__(self, theory: HornTheory):
+        heads, offsets, body = theory.flat
+        sizes = np.diff(offsets)
+        # Sorted (variable, clause id) pairs: each variable's ids, ascending.
+        pairs = np.sort(body.astype(np.int64) << 32 | np.repeat(np.arange(len(heads)), sizes))
+        variables = pairs >> 32
+        pool = list(range(len(heads)))  # one int object per clause id, shared by the lists
+        ids = list(map(pool.__getitem__, (pairs & 0xFFFFFFFF).tolist()))
+        starts = np.flatnonzero(np.diff(variables, prepend=-1))
+        bounds = starts.tolist() + [len(ids)]
         self.n = theory.n
-        self.heads: list[int] = []          # 0 when the clause has no positive literal
-        self.body_sizes: list[int] = []
-        self.occ: dict[int, list[int]] = {}  # body variable -> clause ids
-        self.facts: list[int] = []           # clause ids with an empty body
-        self.interior_bases: dict = {}       # alpha -> interior.InteriorBase
-        occ = self.occ
-        for k, c in enumerate(theory.clauses):
-            self.heads.append(next(iter(c.pos)) if c.pos else 0)
-            self.body_sizes.append(len(c.neg))
-            if not c.neg:
-                self.facts.append(k)
-            for i in c.neg:
-                ids = occ.get(i)
-                if ids is None:
-                    occ[i] = [k]
-                else:
-                    ids.append(k)
+        self.heads: list[int] = heads.tolist()          # 0 when the clause has no positive literal
+        self.body_sizes: list[int] = sizes.tolist()
+        self.occ: dict[int, list[int]] = {                # body variable -> clause ids
+            v: ids[lo:hi] for v, lo, hi in zip(variables[starts].tolist(), bounds, bounds[1:])
+        }
+        self.facts: list[int] = np.flatnonzero(sizes == 0).tolist()  # clause ids with an empty body
+        self.interior_bases: dict = {}                   # alpha -> interior.InteriorBase
 
     def minimal_model(
         self,

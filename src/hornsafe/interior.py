@@ -43,8 +43,6 @@ from .core import (
 )
 from .engine import HornPropagator, propagator
 
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
-
 #: Default ceiling on materialised subclauses / terms / neighborhood vectors.
 EXPANSION_CAP = 1 << 20
 NEIGHBORHOOD_CAP = 1 << 22
@@ -127,10 +125,7 @@ def build_interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
     active = [k for k, size in enumerate(counters) if size <= alpha]
     if _derive(prop, alpha, frozenset(), inside, counters, active, 0, order):
         counters = None
-    # C-level passes over the n + 1 positions, not one big-int OR per
-    # variable (quadratic in n).
-    mask = int(bytes(map(bool, inside))[:0:-1].translate(_BIT_CHARS), 2)
-    return InteriorBase(tuple(order), inside, mask, counters)
+    return InteriorBase(tuple(order), inside, index_mask(order), counters)
 
 
 def interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
@@ -293,15 +288,23 @@ def deduce_interior_charset(
       theory forces on top of v.
 
     J meeting N or P(c) answers YES; otherwise N grows by J and the scan
-    restarts (at most n restarts).  A fully-verified neighborhood answers NO
-    with v* as witness.  The vectors v found along the way are recorded in
-    the trace; together they certify the YES answer.
+    restarts.  A fully-verified neighborhood answers NO with v* as witness.
+    The vectors v found along the way are recorded in the trace; together
+    they certify the YES answer.  The per-restart neighborhood size is
+    guarded by ``cap``.
 
-    The per-restart neighborhood size is guarded by ``cap``.
-
-    Note: the textbook-style derivation of the YES test only argues the
-    case J meeting N(c) or P(c); the procedure applies it to the grown set
-    N, which the fuzz suite validates against the enumeration oracle.
+    Why this is right.  Invariant: every interior model u falsifying c
+    contains N; it holds for N = N(c).  At a restart v = (v* \\ D) | U with
+    D inside N, U outside N and |D| + |U| <= alpha.  Then u' = (u \\ D) | U
+    is within alpha of u, hence a model, and u' >= v.  With no model above
+    v no such u exists (YES).  Otherwise u' >= w, the minimal model above
+    v, so J = w \\ v lies in u'.  If J meets N it meets D, which u' has
+    off: no such u (YES).  Else J misses D | U, where u' agrees with u, so
+    u >= J: J meeting P(c) contradicts u falsifying c (YES), and otherwise
+    the invariant holds for N | J.  J is nonempty (v is not a model), so N
+    grows strictly: at most n restarts.  NO: the whole ball of v* is
+    models, so v* is an interior model; it contains N(c) and misses P(c),
+    because N never meets P(c).
     """
     n = charset.n
     _check_query(c, alpha, n)

@@ -1,6 +1,5 @@
-"""CLI surface: exit-code contract, file loading, generation, bench CSV."""
+"""CLI surface: exit-code contract, file loading, generation."""
 
-import csv
 import json
 import random
 import subprocess
@@ -175,27 +174,6 @@ class TestGen:
         assert exc.value.code == 2
 
 
-class TestBench:
-    def test_csv_schema(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--mode", "interior", "--count", "5", "--n", "8",
-                     "--m", "10", "--alpha", "1", "--seed", "7", "-o", str(out)])
-        assert code == 0
-        rows = list(csv.DictReader(out.open()))
-        assert len(rows) == 5
-        assert set(rows[0]) == {"instance", "mode", "alpha", "clause_neg", "size", "seconds"}
-        assert rows[0]["mode"] == "interior-formula"
-
-    def test_charset_repr(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--mode", "envelope", "--repr", "charset",
-                     "--count", "3", "--n", "6", "--m", "6", "--alpha", "1",
-                     "--seed", "11", "-o", str(out)])
-        assert code == 0
-        rows = list(csv.DictReader(out.open()))
-        assert rows[0]["mode"] == "envelope-charset"
-
-
 class TestEntryPoint:
     def test_console_script(self, ex2_file):
         proc = subprocess.run(
@@ -253,7 +231,3 @@ def test_route_table_passes_method_to_exterior_charset_only(ex2_file, m1_file, m
         ("deduce_exterior_charset", {"method": "pos"}),
         ("deduce_envelope_charset", {}),
     ]
-    calls.clear()
-    assert main(["bench", "--mode", "exterior", "--repr", "charset", "--count", "2",
-                 "--n", "5", "--m", "5", "-o", str(ex2_file) + ".csv"]) == 0
-    assert [(n, k.get("method", "auto")) for n, k in calls] == [("deduce_exterior_charset", "auto")] * 2

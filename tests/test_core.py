@@ -1,5 +1,7 @@
 """Types, parsers, serializers, and the elementary model/clause arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hornsafe import (
     serialize_horn_cnf,
     serialize_model_set,
 )
+from hornsafe.core import index_mask, mask_indices
 from conftest import EX2_TEXT
 
 
@@ -270,3 +273,36 @@ class TestRoundTrips:
         bits = data.draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=12))
         ms = ModelSet.from_bits(n, bits)
         assert parse_model_set(serialize_model_set(ms)) == ms
+
+
+def _loop_mask(indices):
+    m = 0
+    for i in indices:
+        m |= 1 << (i - 1)
+    return m
+
+
+def _loop_indices(mask):
+    return frozenset(i for i, bit in enumerate(reversed(bin(mask)[2:]), start=1) if bit == "1")
+
+
+class TestBitPacking:
+    @pytest.mark.parametrize("n", [1, 7, 64, 65, 1000, 1 << 20])
+    def test_pack_and_unpack_match_plain_loops(self, n):
+        rng = random.Random(n)
+        for k in (0, 1, 5, 64, 65, 500, 4000):
+            idx = [rng.randint(1, n) for _ in range(k)]  # unsorted, with duplicates
+            mask = _loop_mask(idx)
+            assert index_mask(idx) == mask
+            assert index_mask(iter(idx)) == mask
+            assert mask_indices(mask) == _loop_indices(mask) == frozenset(idx)
+
+    def test_the_whole_range_round_trips(self):
+        full = (1 << (1 << 20)) - 1
+        assert index_mask(range(1, (1 << 20) + 1)) == full
+        assert len(mask_indices(full)) == 1 << 20
+
+    @pytest.mark.parametrize("k", [1, 70])
+    def test_index_zero_is_rejected(self, k):
+        with pytest.raises(ValueError):
+            index_mask([0, *range(1, k)])

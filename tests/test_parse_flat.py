@@ -1,0 +1,225 @@
+"""The array parser of ``.hcnf`` text against a line-by-line reference.
+
+The reference below walks the lines one at a time with the rules the
+format has always had (comments, the header, one clause per line ending in
+0, at most one positive literal, no index with both signs, indices in
+range, repeated literals collapsed, duplicate clauses dropped with a
+warning) and the token grammar ``-?[0-9]+``.  Generated texts mix comments,
+blank lines, tabs, runs of spaces, CRLF line ends, repeated literals,
+duplicate and empty clauses, and every kind of malformed line; both parsers
+must agree on the clauses and their order, the duplicate warnings, and the
+error messages.  The propagation index built from a parsed theory must
+equal the one built from the same clauses given to ``HornTheory``.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import re
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hornsafe import Clause, HornTheory, ParseError, parse_horn_cnf, random_horn, serialize_horn_cnf
+from hornsafe.core import FORMULA_MAX_VARS
+from hornsafe.engine import HornPropagator, propagator
+
+_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def reference_parse(text: str | bytes) -> HornTheory:
+    """Line-by-line parse with the format's rules; raises ParseError."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    header = None
+    clauses: list[Clause] = []
+    seen: set[Clause] = set()
+    read = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "hcnf":
+                raise ParseError(f"line {lineno}: expected 'p hcnf <n> <count>' header, got {line!r}")
+            try:
+                header = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer header fields in {line!r}") from None
+            if not 1 <= header[0] <= FORMULA_MAX_VARS:
+                raise ParseError(
+                    f"line {lineno}: variable count must be in 1..{FORMULA_MAX_VARS}, got {header[0]}")
+            if header[1] < 0:
+                raise ParseError(f"line {lineno}: negative object count {header[1]}")
+            continue
+        n, m = header
+        tokens = line.split()
+        if not all(_TOKEN.fullmatch(tok) for tok in tokens):
+            raise ParseError(f"line {lineno}: non-integer clause token in {line!r}")
+        lits = [int(tok) for tok in tokens]
+        if not lits or lits[-1] != 0:
+            raise ParseError(f"line {lineno}: clause line must end with 0")
+        del lits[-1]
+        if 0 in lits:
+            raise ParseError(f"line {lineno}: literal 0 inside a clause")
+        pos = {l for l in lits if l > 0}
+        neg = {-l for l in lits if l < 0}
+        if len(pos) > 1:
+            raise ParseError(f"line {lineno}: {len(pos)} positive literals in a Horn clause")
+        if pos & neg:
+            raise ParseError(f"line {lineno}: indices {sorted(pos & neg)} occur with both signs")
+        top = max(map(abs, lits), default=0)
+        if top > n:
+            raise ParseError(f"line {lineno}: index {top} out of range (n={n})")
+        read += 1
+        if read > m:
+            raise ParseError(f"line {lineno}: more clauses than the header announced ({m})")
+        clause = Clause(frozenset(pos), frozenset(neg))
+        if clause in seen:
+            warnings.warn(f"line {lineno}: duplicate clause dropped: {line!r}")
+        else:
+            seen.add(clause)
+            clauses.append(clause)
+    if header is None:
+        raise ParseError("missing 'p hcnf' header")
+    n, m = header
+    if read != m:
+        raise ParseError(f"header announced {m} clauses, file has {read}")
+    return HornTheory(n, tuple(clauses))
+
+
+def _run(parse, text):
+    """(theory or None, error message or None, warning messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            theory, error = parse(text), None
+        except ParseError as exc:
+            theory, error = None, str(exc)
+    return theory, error, [str(w.message) for w in caught]
+
+
+def _index(t: HornTheory) -> tuple:
+    p = HornPropagator(t)
+    return p.n, p.heads, p.body_sizes, p.facts, p.occ
+
+
+_BAD_TOKENS = ["x", "+3", "1_0", "--1", "-", "3-", "3-4", "-3-4", "1.5", "\u0663", "2e1", "0x1"]
+
+
+@st.composite
+def _clause_line(draw, n: int, earlier: list[str]) -> str:
+    """A clause line, well formed most of the time; repeats earlier lines
+    (exactly or reordered) to make duplicates."""
+    if earlier and draw(st.integers(0, 4)) == 0:
+        tokens = draw(st.sampled_from(earlier)).split()
+        body = tokens[:-1]
+        return " ".join(draw(st.permutations(body)) + ["0"]) if body else "0"
+    body = draw(st.lists(st.integers(1, n), max_size=4))  # repeats allowed
+    head = draw(st.sampled_from([0, *range(1, n + 1)]))
+    lits = [-i for i in body] + ([head] if head and head not in body else [])
+    tokens = [str(l) for l in draw(st.permutations(lits))] + ["0"]
+    kind = draw(st.integers(0, 40))
+    if kind == 0:
+        tokens.pop()  # no terminating 0
+    elif kind == 1 and tokens[:-1]:
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), "0")  # 0 inside
+    elif kind == 2:
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), str(draw(st.sampled_from([n + 1, -(n + 1)]))))
+    elif kind == 3:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_BAD_TOKENS)))
+    elif kind == 4 and lits:
+        tokens.insert(0, str(-lits[0]))  # an index with both signs
+    elif kind == 5:
+        tokens.insert(0, str(draw(st.integers(1, n))))  # maybe a second positive literal
+    elif kind == 6:
+        tokens = ["00" if t == "0" else t for t in tokens]  # zero-padded tokens are integers
+    seps = [draw(st.sampled_from([" ", "  ", "\t", " \t "])) for _ in tokens]
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + "".join(t + s for t, s in zip(tokens, seps))
+
+
+@st.composite
+def hcnf_texts(draw) -> str | bytes:
+    n = draw(st.integers(1, 6))
+    lines: list[str] = []
+    clause_lines: list[str] = []
+    for _ in range(draw(st.integers(0, 12))):
+        filler = draw(st.integers(0, 6))
+        if filler == 0:
+            lines.append(draw(st.sampled_from(["c a comment", "", "   ", "\t", "c"])))
+            continue
+        line = draw(_clause_line(n, clause_lines))
+        clause_lines.append(line)
+        lines.append(line)
+    m = len(clause_lines) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    place = draw(st.sampled_from(["first"] * 18 + ["second", "none"]))
+    if place != "none":
+        lines.insert(int(place == "second" and bool(lines)), f"p hcnf {n} {max(m, 0)}")
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text.encode() if text.isascii() and draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(hcnf_texts())
+def test_array_parser_matches_the_reference(text):
+    ref, ref_error, ref_warnings = _run(reference_parse, text)
+    got, error, got_warnings = _run(parse_horn_cnf, text)
+    assert error == ref_error
+    if ref is None:
+        return
+    assert got_warnings == ref_warnings
+    assert got.n == ref.n and got.clauses == ref.clauses
+    assert (got.size, got.is_negative) == (ref.size, ref.is_negative)
+    assert _index(got) == _index(HornTheory(ref.n, ref.clauses))
+
+
+@pytest.mark.parametrize("token", ["+3", "1_0", "\u0663", "1\xa02", "1\x1f2"])
+def test_tokens_outside_the_grammar_are_errors(token):
+    with pytest.raises(ParseError, match="line 2: non-integer clause token"):
+        parse_horn_cnf(f"p hcnf 3 1\n{token} 0\n")
+
+
+@pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999",
+                                   str(-(1 << 62)), str(1 << 63), "4" + "0" * 400])
+def test_huge_tokens_are_out_of_range(token):
+    with pytest.raises(ParseError, match=f"line 3: index {token.lstrip('-')} out of range"):
+        parse_horn_cnf(f"p hcnf 3 2\n-1 0\n{token} 0\n")
+
+
+def test_zero_padded_tokens_are_integers():
+    t = parse_horn_cnf("p hcnf 12 1\n-0000000000000000000000001 012 -0\n")
+    assert t.clauses == (Clause(pos={12}, neg={1}),)
+
+
+def test_parsed_theory_builds_clauses_only_when_read():
+    t = parse_horn_cnf("p hcnf 4 3\n-1 3 0\n-2 -2 3 0\n-4 0\n")
+    assert (t.size, t.is_negative) == (5, False)
+    propagator(t)
+    assert "clauses" not in vars(t)
+    assert t.clauses == (Clause({3}, {1}), Clause({3}, {2}), Clause(neg={4}))
+    assert "clauses" in vars(t)
+
+
+def test_both_sources_give_the_same_arrays_and_index():
+    t = random_horn(300, 2000, 5, seed=7)
+    parsed = parse_horn_cnf(serialize_horn_cnf(t))
+    assert parsed == t
+    for got, want in zip(parsed.flat, t.flat):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert _index(parsed) == _index(t)
+
+
+def test_pickle_and_copy_of_a_parsed_theory_carry_only_the_arrays():
+    t = parse_horn_cnf(serialize_horn_cnf(random_horn(50, 200, 4, seed=3)))
+    size = len(pickle.dumps(t))
+    t.clauses
+    propagator(t)
+    assert len(pickle.dumps(t)) == size
+    for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert sorted(vars(other)) == ["flat", "n"]
+        assert other == t and hash(other) == hash(t)
