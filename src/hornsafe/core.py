@@ -570,10 +570,18 @@ def parse_horn_cnf(text: str | bytes) -> HornTheory:
 
 
 def serialize_horn_cnf(t: HornTheory) -> str:
-    """Render a theory in the ``p hcnf`` format (canonical literal order)."""
-    lines = [f"p hcnf {t.n} {len(t.clauses)}"]
-    for c in t.clauses:
-        lines.append(" ".join(str(lit) for lit in c.literals() + (0,)))
+    """Render a theory in the ``p hcnf`` format (canonical literal order:
+    the body ascending and negated, then the head).  It reads ``t.flat``, so
+    a parsed theory builds no :class:`Clause`."""
+    heads, offsets, body = t.flat
+    negated = (-body).tolist()
+    lines = [f"p hcnf {t.n} {len(heads)}"]
+    for h, lo, hi in zip(heads.tolist(), offsets.tolist(), offsets[1:].tolist()):
+        line = list(map(str, negated[lo:hi]))
+        if h:
+            line.append(str(h))
+        line.append("0")
+        lines.append(" ".join(line))
     return "\n".join(lines) + "\n"
 
 

@@ -180,12 +180,17 @@ def min_model_above(charset: ModelSet, v: Model) -> Optional[Model]:
     """
     if v.n != charset.n:
         raise ValueError("dimension mismatch")
-    arr = charset.bits_array
-    vb = np.uint64(v.bits)
+    w = _and_above(charset.bits_array, v.bits)
+    return None if w is None else Model(charset.n, w)
+
+
+def _and_above(arr: np.ndarray, bits: int) -> Optional[int]:
+    """AND of the ``uint64`` members of ``arr`` that are >= ``bits``; None
+    when there are none.  One pass over the members: the kernel of
+    :func:`min_model_above`."""
+    vb = np.uint64(bits)
     sel = arr[arr & vb == vb]
-    if not sel.size:
-        return None
-    return Model(charset.n, int(np.bitwise_and.reduce(sel)))
+    return int(np.bitwise_and.reduce(sel)) if sel.size else None
 
 
 def charset_entails(charset: ModelSet, c: Clause) -> Decision:
@@ -209,6 +214,17 @@ def charset_entails(charset: ModelSet, c: Clause) -> Decision:
 _BLOCK = 1 << 22  # elements per pairwise block (32 MB of uint64)
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, flattened and ascending, as ``np.unique``
+    gives them: one sort and a neighbour mask, where numpy 2.4's ``np.unique``
+    takes a hash path several times slower on integers."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.size, bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def intersection_closure(ms: ModelSet) -> ModelSet:
     """Smallest superset of ``ms`` closed under componentwise AND.
 
@@ -223,15 +239,15 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     """
     if not len(ms):
         return ms
-    gens = np.unique(ms.bits_array)
+    gens = _unique(ms.bits_array)
     closed = frontier = gens
     rows = max(1, _BLOCK // gens.size)
     while frontier.size:
         fresh = []
         for lo in range(0, frontier.size, rows):
-            cand = np.unique(np.bitwise_and.outer(frontier[lo:lo + rows], gens))
+            cand = _unique(np.bitwise_and.outer(frontier[lo:lo + rows], gens))
             fresh.append(cand[~np.isin(cand, closed, assume_unique=True)])
-        frontier = np.unique(np.concatenate(fresh))
+        frontier = _unique(np.concatenate(fresh))
         closed = np.concatenate((closed, frontier))
     return ModelSet.from_bits(ms.n, closed.tolist())
 
@@ -256,7 +272,7 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     of such single steps starting from ``a``.  O(|M|^2 n) for the extraction
     and O(|M| x |extracted|) for the check, both in blocks of :data:`_BLOCK`.
     """
-    arr = np.unique(ms.bits_array)
+    arr = _unique(ms.bits_array)
     if not arr.size:
         return arr, True
     ones = (arr[:, None] >> np.arange(ms.n, dtype=np.uint64) & np.uint64(1)).astype(np.float32)

@@ -15,13 +15,15 @@ but deduction against it is not:
   the theory size up to bookkeeping, and each query pays only its own part;
 * :func:`deduce_interior_charset` answers the same query from a
   characteristic-model representation by scanning the neighborhood of the
-  minimal falsifying vector, in O(n^(alpha+2) |charset|).
+  minimal falsifying vector in numpy chunks of vectors, in
+  O(n^(alpha+2) |charset|).
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -41,7 +43,7 @@ from .core import (
     iter_flip_masks,
     mask_indices,
 )
-from .engine import HornPropagator, propagator
+from .engine import HornPropagator, _and_above, propagator
 
 #: Default ceiling on materialised subclauses / terms / neighborhood vectors.
 EXPANSION_CAP = 1 << 20
@@ -267,6 +269,65 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     return Decision(False, witness=Model(t.n, witness), trace=tuple(trace))
 
 
+#: Chunks of an alpha-ball scan: the first has _FIRST_ROWS vectors and each
+#: next one twice as many, up to _MAX_ROWS; a chunk has fewer rows (one at
+#: least) where its rows x members temporaries would pass _CHUNK_WORDS
+#: 8-byte words.  At n = 60 and about 600 members, 256-row chunks ran no
+#: faster than 128-row ones and held more memory.
+_FIRST_ROWS, _MAX_ROWS, _CHUNK_WORDS = 64, 128, 1 << 17
+#: Flip-mask arrays of balls up to _FLIP_CACHE_BALL vectors are kept for the
+#: last _FLIP_CACHE_SIZE (n, alpha) pairs, at most 4 MiB; larger ones are
+#: built per query.
+_FLIP_CACHE_BALL, _FLIP_CACHE_SIZE = 1 << 16, 8
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _build_flip_masks(n: int, alpha: int, size: int) -> np.ndarray:
+    flips = np.fromiter(iter_flip_masks(n, alpha), np.uint64, count=size)
+    flips.flags.writeable = False
+    return flips
+
+
+_cached_flip_masks = lru_cache(maxsize=_FLIP_CACHE_SIZE)(_build_flip_masks)
+
+
+def _flip_masks(n: int, alpha: int, size: int) -> np.ndarray:
+    """The ``size`` masks of :func:`~hornsafe.core.iter_flip_masks` as a
+    read-only ``uint64`` array, in its order (the empty flip first)."""
+    build = _cached_flip_masks if size <= _FLIP_CACHE_BALL else _build_flip_masks
+    return build(n, alpha, size)
+
+
+def _first_non_model(
+    arr: np.ndarray, flips: np.ndarray, vstar: int
+) -> Optional[tuple[int, Optional[int]]]:
+    """The first vector v = ``vstar ^ f``, f in ``flips`` order, that is not
+    a model of the theory whose characteristic members are ``arr``, with the
+    AND of the members above v (None when there are none); None when every
+    vector is a model.  v is a model iff some member is >= v and the AND of
+    those members is v.  ``flips[0]`` is the empty flip."""
+    w = _and_above(arr, vstar)
+    if w != vstar:
+        return vstar, w
+    vs = np.uint64(vstar)
+    rows_cap = max(1, min(_MAX_ROWS, _CHUNK_WORDS // arr.size))
+    lo, rows = 1, min(_FIRST_ROWS, rows_cap)
+    while lo < flips.size:
+        chunk = flips[lo:lo + rows] ^ vs
+        col = chunk[:, None]
+        hit = (arr & col) == col
+        w = np.bitwise_and.reduce(np.where(hit, arr, _ONES), axis=1)
+        # At n = 64 the all-ones vector with no member above it would meet
+        # the fill value, hence the explicit test.
+        bad = (w != chunk) | ~hit.any(axis=1)
+        if bad.any():
+            i = bad.argmax()
+            return int(chunk[i]), int(w[i]) if hit[i].any() else None
+        lo += rows
+        rows = min(2 * rows, rows_cap)
+    return None
+
+
 def deduce_interior_charset(
     charset: ModelSet,
     c: Clause,
@@ -293,6 +354,22 @@ def deduce_interior_charset(
     they certify the YES answer.  The per-restart neighborhood size is
     guarded by ``cap``.
 
+    Cost.  v is a model iff some member is above it and the AND of the
+    members above it is v (Kautz, Kearns & Selman, 1993).  Each restart
+    tests v* with one pass over the members, then the rest of the ball,
+    B = sum_{i <= alpha} C(n, i) vectors, in chunks of 64, then 128
+    vectors: each chunk costs a few numpy passes over chunk x |charset|
+    words, with no Python work per vector.  A restart thus costs
+    O(|charset|) when v* is not a model and O(B |charset|) words at worst,
+    evaluating at most 127 vectors past its culprit; at most n + 1 balls
+    are scanned.
+    Memory: a chunk has at most 128 rows and at most max(1, 2^17 //
+    |charset|), so each of its temporaries holds max(2^17, |charset|) words
+    at most (1 MiB below 2^17 members).  The ball's flip masks are one
+    ``uint64`` array of B words, built once per query; those of balls up to
+    2^16 vectors are kept for the last 8 (n, alpha) pairs in use, 4 MiB in
+    all at most.
+
     Why this is right.  Invariant: every interior model u falsifying c
     contains N; it holds for N = N(c).  At a restart v = (v* \\ D) | U with
     D inside N, U outside N and |D| + |U| <= alpha.  Then u' = (u \\ D) | U
@@ -310,11 +387,13 @@ def deduce_interior_charset(
     _check_query(c, alpha, n)
     if not len(charset):
         return Decision(True)
-    if sum(comb(n, i) for i in range(min(alpha, n) + 1)) > cap:
+    size = sum(comb(n, i) for i in range(min(alpha, n) + 1))
+    if size > cap:
         raise EnumerationLimitError(
             f"alpha={alpha} neighborhood at n={n} exceeds the cap of {cap} vectors"
         )
     arr = charset.bits_array
+    flips = _flip_masks(n, alpha, size)
     full = (1 << n) - 1
     nset = set(c.neg)
     pos_mask = c.pos_mask
@@ -322,23 +401,13 @@ def deduce_interior_charset(
     restarts = 0
     while True:
         vstar = index_mask(nset)
-        culprit = None
-        for f in iter_flip_masks(n, alpha):
-            v = vstar ^ f
-            vb = np.uint64(v)
-            above = arr[arr & vb == vb]
-            if above.size:
-                w = int(np.bitwise_and.reduce(above))
-                if w == v:
-                    continue  # v is a model of the base theory
-                jmask = w & ~v
-            else:
-                jmask = full  # nothing above v: all superset literals implied
-            culprit = v
-            trace.append(Model(n, v))
-            break
-        if culprit is None:
+        found = _first_non_model(arr, flips, vstar)
+        if found is None:
             return Decision(False, witness=Model(n, vstar), trace=tuple(trace))
+        v, w = found
+        trace.append(Model(n, v))
+        # Nothing above v: all superset literals implied.
+        jmask = full if w is None else w & ~v
         if jmask & vstar or jmask & pos_mask:  # vstar is exactly the N mask
             return Decision(True, trace=tuple(trace))
         nset |= mask_indices(jmask)

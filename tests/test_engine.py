@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from hornsafe import (
@@ -18,6 +19,7 @@ from hornsafe import (
     minimal_model,
     random_horn,
 )
+from hornsafe.engine import _unique
 from hornsafe.oracle import all_models, oracle_deduce
 from conftest import random_query_clause
 
@@ -141,6 +143,26 @@ class TestIntersectionClosure:
 
     def test_non_horn_set_detected(self, m1):
         assert not is_intersection_closed(m1)
+
+
+class TestUnique:
+    """The closure's sort-and-mask dedup against ``np.unique``."""
+
+    def test_matches_np_unique(self):
+        rng = np.random.default_rng(17)
+        top = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+        cases = [
+            np.zeros(0, np.uint64),
+            np.full(1000, 7, np.uint64),
+            np.full((3, 5), top),
+            rng.integers(0, top, 25_000, dtype=np.uint64, endpoint=True),
+            rng.integers(0, 50, (40, 60), dtype=np.uint64),
+            np.array([top, 0, top, 1, 0], np.uint64),
+        ]
+        for a in cases:
+            got, want = _unique(a), np.unique(a)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert cases[3].max() > np.uint64(1 << 63)
 
 
 class TestCharacteristicSet:

@@ -12,6 +12,10 @@ so the optimised code is never checked against itself.
 Each formula route answers on two theories with equal clauses: one built
 from the clause list and one parsed back from its text, so both sources of
 the flat arrays the propagation index is built from are exercised.
+
+The interior-charset trace is checked against the scan's rule too: each
+trace vector is the first non-model, in flip order, of the alpha-ball of
+its restart's v*, replayed from the same enumeration.
 """
 
 from __future__ import annotations
@@ -149,3 +153,36 @@ def test_the_derived_cnf_has_exactly_the_set_as_models():
         models = {v for v in CUBE if t.satisfied_by(Model(N, v))}
         assert models == set(members)
     assert _characteristic(frozenset(CUBE)) == {FULL} | {FULL ^ (1 << i) for i in range(N)}
+
+
+def _flip_order() -> list[int]:
+    """Every flip mask by ascending size, then lexicographically by its
+    sorted index tuple."""
+    return sorted(CUBE, key=lambda f: (f.bit_count(), [i for i in range(N) if f >> i & 1]))
+
+
+def test_interior_charset_trace_is_the_first_non_model_of_each_ball():
+    # Replays the scan's restarts: v* starts as N(c), and after each trace
+    # vector v it gains J, the bits the minimal model above v adds (all bits
+    # when no model is above v).  Every trace vector must be the first
+    # non-model of the alpha-ball of that restart's v*, in flip order.
+    order = _flip_order()
+    vectors = 0
+    for members in _and_closed_sets():
+        charset = ModelSet.from_bits(N, _characteristic(members))
+        for alpha in range(N + 1):
+            ball = [f for f in order if f.bit_count() <= alpha]
+            for c in _clauses():
+                d = deduce_interior_charset(charset, c, alpha)
+                vstar = sum(1 << (i - 1) for i in c.neg)
+                for v in d.trace:
+                    assert v.bits not in members
+                    assert (v.bits ^ vstar).bit_count() <= alpha
+                    assert v.bits == next(vstar ^ f for f in ball if vstar ^ f not in members)
+                    above = [u for u in members if u & v.bits == v.bits]
+                    vstar |= reduce(lambda a, b: a & b, above) & ~v.bits if above else FULL
+                    vectors += 1
+                if not d.entailed:
+                    assert d.witness.bits == vstar
+                    assert all(vstar ^ f in members for f in ball)
+    assert vectors == 13_682

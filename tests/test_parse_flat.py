@@ -205,6 +205,18 @@ def test_parsed_theory_builds_clauses_only_when_read():
     assert "clauses" in vars(t)
 
 
+def test_serialising_a_parsed_theory_builds_no_clauses():
+    for t in (random_horn(300, 2000, 5, seed=7), HornTheory(3, (Clause(), Clause({2}), Clause({3}, {1, 2})))):
+        text = serialize_horn_cnf(t)
+        by_clause = [f"p hcnf {t.n} {len(t.clauses)}"]
+        by_clause += [" ".join(map(str, c.literals() + (0,))) for c in t.clauses]
+        assert text == "\n".join(by_clause) + "\n"
+        parsed = parse_horn_cnf(text)
+        assert serialize_horn_cnf(parsed) == text
+        assert "clauses" not in vars(parsed)
+    assert text == "p hcnf 3 3\n0\n2 0\n-1 -2 3 0\n"
+
+
 def test_both_sources_give_the_same_arrays_and_index():
     t = random_horn(300, 2000, 5, seed=7)
     parsed = parse_horn_cnf(serialize_horn_cnf(t))
