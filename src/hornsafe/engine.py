@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Clause, Decision, HornTheory, Model, ModelSet, index_mask
+from .core import Clause, Decision, HornTheory, Model, ModelSet, _unique, index_mask
 
 
 class HornPropagator:
@@ -212,17 +212,6 @@ def charset_entails(charset: ModelSet, c: Clause) -> Decision:
 
 
 _BLOCK = 1 << 22  # elements per pairwise block (32 MB of uint64)
-
-
-def _unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a``, flattened and ascending, as ``np.unique``
-    gives them: one sort and a neighbour mask, where numpy 2.4's ``np.unique``
-    takes a hash path several times slower on integers."""
-    a = np.sort(a, axis=None)
-    keep = np.empty(a.size, bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 def intersection_closure(ms: ModelSet) -> ModelSet:

@@ -15,7 +15,7 @@ but deduction against it is not:
   the theory size up to bookkeeping, and each query pays only its own part;
 * :func:`deduce_interior_charset` answers the same query from a
   characteristic-model representation by scanning the neighborhood of the
-  minimal falsifying vector in numpy chunks of vectors, in
+  minimal falsifying vector in fixed numpy chunks of vectors, in
   O(n^(alpha+2) |charset|).
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -40,8 +39,6 @@ from .core import (
     Term,
     _check_query,
     index_mask,
-    iter_flip_masks,
-    mask_indices,
 )
 from .engine import HornPropagator, _and_above, propagator
 
@@ -269,33 +266,32 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     return Decision(False, witness=Model(t.n, witness), trace=tuple(trace))
 
 
-#: Chunks of an alpha-ball scan: the first has _FIRST_ROWS vectors and each
-#: next one twice as many, up to _MAX_ROWS; a chunk has fewer rows (one at
-#: least) where its rows x members temporaries would pass _CHUNK_WORDS
-#: 8-byte words.  At n = 60 and about 600 members, 256-row chunks ran no
-#: faster than 128-row ones and held more memory.
-_FIRST_ROWS, _MAX_ROWS, _CHUNK_WORDS = 64, 128, 1 << 17
-#: Flip-mask arrays of balls up to _FLIP_CACHE_BALL vectors are kept for the
-#: last _FLIP_CACHE_SIZE (n, alpha) pairs, at most 4 MiB; larger ones are
-#: built per query.
-_FLIP_CACHE_BALL, _FLIP_CACHE_SIZE = 1 << 16, 8
+#: An alpha-ball scan tests _ROWS vectors per chunk, fewer (one at least) where
+#: rows x members would pass _CHUNK_WORDS words.  At n = 60 and about 600
+#: members, 256-row chunks ran no faster than 128 and held more memory.
+_ROWS, _CHUNK_WORDS = 128, 1 << 17
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
-def _build_flip_masks(n: int, alpha: int, size: int) -> np.ndarray:
-    flips = np.fromiter(iter_flip_masks(n, alpha), np.uint64, count=size)
-    flips.flags.writeable = False
+def _ball_flips(n: int, alpha: int, size: int) -> np.ndarray:
+    """The ``size`` masks of :func:`~hornsafe.core.iter_flip_masks`, in its
+    order, as one ``uint64`` array built by flip-set size: the sets of size
+    k + 1 are those of size k, in order, each with one more position above
+    its highest, ascending."""
+    flips = np.zeros(size, np.uint64)
+    lo, hi = 1, n + 1
+    bits = flips[lo:hi]  # the one-position sets (none at alpha = 0) double as the bit table
+    np.left_shift(np.uint64(1), np.arange(bits.size, dtype=np.uint64), out=bits)
+    low = np.arange(1, n + 1)  # per set of the layer: the lowest position it may add
+    while hi < size:
+        counts = n - low
+        pos = np.arange(counts.sum())  # each parent's children add low, low + 1, ..., n - 1
+        pos -= np.repeat(np.cumsum(counts) - counts - low, counts)
+        layer = flips[hi:hi + pos.size]
+        np.take(bits, pos, out=layer)
+        layer |= np.repeat(flips[lo:hi], counts)
+        lo, hi, low = hi, hi + pos.size, pos + 1
     return flips
-
-
-_cached_flip_masks = lru_cache(maxsize=_FLIP_CACHE_SIZE)(_build_flip_masks)
-
-
-def _flip_masks(n: int, alpha: int, size: int) -> np.ndarray:
-    """The ``size`` masks of :func:`~hornsafe.core.iter_flip_masks` as a
-    read-only ``uint64`` array, in its order (the empty flip first)."""
-    build = _cached_flip_masks if size <= _FLIP_CACHE_BALL else _build_flip_masks
-    return build(n, alpha, size)
 
 
 def _first_non_model(
@@ -310,9 +306,8 @@ def _first_non_model(
     if w != vstar:
         return vstar, w
     vs = np.uint64(vstar)
-    rows_cap = max(1, min(_MAX_ROWS, _CHUNK_WORDS // arr.size))
-    lo, rows = 1, min(_FIRST_ROWS, rows_cap)
-    while lo < flips.size:
+    rows = max(1, min(_ROWS, _CHUNK_WORDS // arr.size))
+    for lo in range(1, flips.size, rows):
         chunk = flips[lo:lo + rows] ^ vs
         col = chunk[:, None]
         hit = (arr & col) == col
@@ -323,8 +318,6 @@ def _first_non_model(
         if bad.any():
             i = bad.argmax()
             return int(chunk[i]), int(w[i]) if hit[i].any() else None
-        lo += rows
-        rows = min(2 * rows, rows_cap)
     return None
 
 
@@ -357,18 +350,15 @@ def deduce_interior_charset(
     Cost.  v is a model iff some member is above it and the AND of the
     members above it is v (Kautz, Kearns & Selman, 1993).  Each restart
     tests v* with one pass over the members, then the rest of the ball,
-    B = sum_{i <= alpha} C(n, i) vectors, in chunks of 64, then 128
-    vectors: each chunk costs a few numpy passes over chunk x |charset|
-    words, with no Python work per vector.  A restart thus costs
-    O(|charset|) when v* is not a model and O(B |charset|) words at worst,
-    evaluating at most 127 vectors past its culprit; at most n + 1 balls
-    are scanned.
+    B = sum_{i <= alpha} C(n, i) vectors, in chunks of 128 vectors: each
+    chunk costs a few numpy passes over chunk x |charset| words, with no
+    Python work per vector.  A restart thus costs O(|charset|) when v* is
+    not a model and O(B |charset|) words at worst, evaluating at most 127
+    vectors past its culprit; at most n + 1 balls are scanned.
     Memory: a chunk has at most 128 rows and at most max(1, 2^17 //
     |charset|), so each of its temporaries holds max(2^17, |charset|) words
-    at most (1 MiB below 2^17 members).  The ball's flip masks are one
-    ``uint64`` array of B words, built once per query; those of balls up to
-    2^16 vectors are kept for the last 8 (n, alpha) pairs in use, 4 MiB in
-    all at most.
+    at most (1 MiB below 2^17 members).  The ball's flip masks are built
+    once per query in O(B) time, into B words (about 3 B while building).
 
     Why this is right.  Invariant: every interior model u falsifying c
     contains N; it holds for N = N(c).  At a restart v = (v* \\ D) | U with
@@ -393,24 +383,18 @@ def deduce_interior_charset(
             f"alpha={alpha} neighborhood at n={n} exceeds the cap of {cap} vectors"
         )
     arr = charset.bits_array
-    flips = _flip_masks(n, alpha, size)
-    full = (1 << n) - 1
-    nset = set(c.neg)
-    pos_mask = c.pos_mask
+    flips = _ball_flips(n, alpha, size)
+    vstar = c.neg_mask  # exactly N true
     trace: list[Model] = []
-    restarts = 0
-    while True:
-        vstar = index_mask(nset)
+    for _ in range(n + 1):
         found = _first_non_model(arr, flips, vstar)
         if found is None:
             return Decision(False, witness=Model(n, vstar), trace=tuple(trace))
         v, w = found
         trace.append(Model(n, v))
         # Nothing above v: all superset literals implied.
-        jmask = full if w is None else w & ~v
-        if jmask & vstar or jmask & pos_mask:  # vstar is exactly the N mask
+        jmask = (1 << n) - 1 if w is None else w & ~v
+        if jmask & (vstar | c.pos_mask):
             return Decision(True, trace=tuple(trace))
-        nset |= mask_indices(jmask)
-        restarts += 1
-        if restarts > n:
-            raise RuntimeError("charset interior scan exceeded its n-restart bound")
+        vstar |= jmask
+    raise RuntimeError("charset interior scan exceeded its n-restart bound")

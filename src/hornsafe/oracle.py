@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Clause, HornTheory, ModelSet, iter_flip_masks
+from .core import Clause, HornTheory, ModelSet, _unique, iter_flip_masks
 
 ORACLE_MAX_VARS = 24
 
@@ -77,14 +77,14 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     so the envelope oracle never checks that code against itself."""
     if not len(ms):
         return ms
-    arr = np.unique(ms.bits_array)
+    arr = _unique(ms.bits_array)
     while True:
         rows = max(1, (1 << 22) // arr.size)  # bound each outer block to ~32MB
         chunks = [arr]
         for lo in range(0, arr.size, rows):
             block = arr[lo:lo + rows]
-            chunks.append(np.unique(np.bitwise_and.outer(block, arr).ravel()))
-        grown = np.unique(np.concatenate(chunks))
+            chunks.append(_unique(np.bitwise_and.outer(block, arr)))
+        grown = _unique(np.concatenate(chunks))
         if grown.size == arr.size:
             return ModelSet.from_bits(ms.n, arr.tolist())
         arr = grown

@@ -132,3 +132,17 @@ def planted_horn(n: int, m: int, max_len: int, seed: int) -> HornTheory:
     planted = Model(n, rng.getrandbits(n))
     t = random_horn(n, m, max_len, seed=rng.getrandbits(48))
     return HornTheory(n, tuple(c for c in t.clauses if eval_clause(c, planted)))
+
+
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", default=False,
+                     help="also run the tests marked slow (exhaustive n = 4)")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

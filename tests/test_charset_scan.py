@@ -6,12 +6,14 @@ numpy chunks: one flip mask at a time from ``iter_flip_masks``, one member
 pass per vector.  Both must give equal whole ``Decision``s (answer, witness
 and trace) on random charsets, also with chunks of 1 to 3 rows so that
 culprits fall on chunk boundaries, and at n = 64, where the all-ones vector
-meets the fill value of the chunked AND.
+meets the fill value of the chunked AND.  The scan's numpy-built flip masks
+must equal ``iter_flip_masks``, which the scan does not use.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -86,11 +88,10 @@ def test_same_decisions_as_the_per_vector_scan():
     assert _compare(seed=11, count=1500) > 1500
 
 
-@pytest.mark.parametrize("first, most", [(1, 1), (3, 3), (1, 3)])
-def test_same_decisions_with_tiny_chunks(monkeypatch, first, most):
-    monkeypatch.setattr(interior, "_FIRST_ROWS", first)
-    monkeypatch.setattr(interior, "_MAX_ROWS", most)
-    assert _compare(seed=first * 10 + most, count=400) > 400
+@pytest.mark.parametrize("rows", [1, 3])
+def test_same_decisions_with_tiny_chunks(monkeypatch, rows):
+    monkeypatch.setattr(interior, "_ROWS", rows)
+    assert _compare(seed=rows * 11, count=400) > 400
 
 
 def test_chunk_rows_shrink_for_large_charsets(monkeypatch):
@@ -111,16 +112,20 @@ NEAR_TOP = ModelSet.from_bits(64, [ONES ^ (1 << i | 1 << j) for i in range(64) f
 FLIPS_64_2 = list(iter_flip_masks(64, 2))
 
 
-@pytest.mark.parametrize("at", [1, 63, 64, 65, 192, 193, 320, 2080])
-def test_all_ones_with_no_member_above_at_n64(at):
+@pytest.mark.parametrize("at", [1, 63, 64, 65, 128, 129, 192, 193, 256, 257, 320, 2080])
+def test_all_ones_with_no_member_above_at_n64(monkeypatch, at):
     # The chunked AND of no members is its fill value, all ones, which
     # equals the all-ones vector; it must still count as a non-model.  The
     # culprit sits at flip position ``at``: in the first, second or third
-    # chunk, on either side of their boundaries, or last in the ball.
+    # chunk, on either side of their boundaries, or last in the ball.  The
+    # 2,080 members cap a chunk at 63 rows; the second pass lifts that cap
+    # to the full 128 rows.
     query = Clause(neg=mask_indices(ONES ^ FLIPS_64_2[at]))
-    got = deduce_interior_charset(NEAR_TOP, query, 2)
-    assert got == _reference(NEAR_TOP, query, 2)
-    assert got.entailed and got.trace == (Model(64, ONES),)
+    want = _reference(NEAR_TOP, query, 2)
+    assert want.entailed and want.trace == (Model(64, ONES),)
+    for words in (interior._CHUNK_WORDS, interior._ROWS * len(NEAR_TOP)):
+        monkeypatch.setattr(interior, "_CHUNK_WORDS", words)
+        assert deduce_interior_charset(NEAR_TOP, query, 2) == want
 
 
 def test_every_vector_near_few_ones_is_a_model_at_n64():
@@ -150,14 +155,23 @@ def test_cap_error_is_unchanged():
     assert deduce_interior_charset(charset, Clause(neg={1}), 2, 211) == _reference(charset, Clause(neg={1}), 2, 211)
 
 
-def test_flip_masks_follow_iter_flip_masks_and_large_balls_are_not_kept(monkeypatch):
-    for n, alpha in ((1, 0), (5, 2), (12, 3), (64, 2)):
-        size = sum(comb(n, i) for i in range(alpha + 1))
-        flips = interior._flip_masks(n, alpha, size)
-        assert flips.tolist() == list(iter_flip_masks(n, alpha))
-        assert not flips.flags.writeable
-    monkeypatch.setattr(interior, "_FLIP_CACHE_BALL", 10)
-    interior._cached_flip_masks.cache_clear()
-    interior._flip_masks(8, 1, 9)
-    interior._flip_masks(8, 2, 37)
-    assert interior._cached_flip_masks.cache_info().currsize == 1
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 60, 64])
+def test_ball_flips_follow_iter_flip_masks(n):
+    # alpha > n is the whole cube, checked where the cube is small.
+    for alpha in [0, 1, 2, 3, 4] + [n + 1] * (n <= 12):
+        size = sum(comb(n, i) for i in range(min(alpha, n) + 1))
+        flips = interior._ball_flips(n, alpha, size)
+        assert flips.dtype == np.uint64
+        assert flips.tolist() == list(iter_flip_masks(n, alpha)), (n, alpha)
+
+
+def test_ball_flips_peak_memory_is_a_few_times_the_ball():
+    n, alpha = 24, 6
+    size = sum(comb(n, i) for i in range(alpha + 1))
+    tracemalloc.start()
+    try:
+        flips = interior._ball_flips(n, alpha, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flips.size == size and peak <= 4 * flips.nbytes
