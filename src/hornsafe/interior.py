@@ -16,7 +16,9 @@ but deduction against it is not:
 * :func:`deduce_interior_charset` answers the same query from a
   characteristic-model representation by scanning the neighborhood of the
   minimal falsifying vector in fixed numpy chunks of vectors, in
-  O(n^(alpha+2) |charset|).
+  O(n^(alpha+2) |charset|): past the first chunk, a vector is first tested
+  against at most n witness members, which prove most vectors models, and
+  only the rest against the whole charset.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .core import (
     Term,
     _check_query,
     index_mask,
+    mask_indices,
 )
 from .engine import HornPropagator, _and_above, propagator
 
@@ -294,31 +297,83 @@ def _ball_flips(n: int, alpha: int, size: int) -> np.ndarray:
     return flips
 
 
-def _first_non_model(
-    arr: np.ndarray, flips: np.ndarray, vstar: int
-) -> Optional[tuple[int, Optional[int]]]:
-    """The first vector v = ``vstar ^ f``, f in ``flips`` order, that is not
-    a model of the theory whose characteristic members are ``arr``, with the
-    AND of the members above v (None when there are none); None when every
-    vector is a model.  v is a model iff some member is >= v and the AND of
-    those members is v.  ``flips[0]`` is the empty flip."""
-    w = _and_above(arr, vstar)
-    if w != vstar:
-        return vstar, w
-    vs = np.uint64(vstar)
-    rows = max(1, min(_ROWS, _CHUNK_WORDS // arr.size))
-    for lo in range(1, flips.size, rows):
-        chunk = flips[lo:lo + rows] ^ vs
-        col = chunk[:, None]
-        hit = (arr & col) == col
-        w = np.bitwise_and.reduce(np.where(hit, arr, _ONES), axis=1)
-        # At n = 64 the all-ones vector with no member above it would meet
-        # the fill value, hence the explicit test.
-        bad = (w != chunk) | ~hit.any(axis=1)
-        if bad.any():
-            i = bad.argmax()
-            return int(chunk[i]), int(w[i]) if hit[i].any() else None
-    return None
+def _and_above_rows(members: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per vector v of ``rows``: the AND of the ``members`` >= v (all ones
+    when there are none), and whether there are any."""
+    col = rows[:, None]
+    hit = (members & col) == col
+    return np.bitwise_and.reduce(np.where(hit, members, _ONES), axis=1), hit.any(axis=1)
+
+
+class _BallScan:
+    """The alpha-ball scans of one query over the characteristic members
+    ``arr``, one per restart.  The ball's flip masks and the members' zero
+    bits are built on first need and kept for the query's later restarts."""
+
+    def __init__(self, arr: np.ndarray, n: int, alpha: int, size: int):
+        self.arr, self.n, self.alpha, self.size = arr, n, alpha, size
+        self.flips: Optional[np.ndarray] = None
+        self.zeros: Optional[np.ndarray] = None  # (n, members): bit j of member k is off
+
+    def witnesses(self, vstar: int) -> np.ndarray:
+        """For each variable j, the member with j off that has the fewest
+        zeros inside ``vstar``, then the fewest zeros (first on ties); the
+        first member in that order stands in for a j that no member has
+        off.  Any members would be correct: the choice only decides how
+        many vectors the witness test settles."""
+        arr, n = self.arr, self.n
+        if self.zeros is None:
+            words = arr.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            bits = np.unpackbits(words, axis=1, bitorder="little")
+            self.zeros = bits[:, :n].T == 0
+        zeros = self.zeros
+        inside = np.fromiter(mask_indices(vstar), np.intp) - 1
+        order = np.argsort((n + 1) * zeros[inside].sum(axis=0) + zeros.sum(axis=0), kind="stable")
+        return arr[order[zeros[:, order].argmax(axis=1)]]
+
+    def first_non_model(self, vstar: int) -> Optional[tuple[int, Optional[int]]]:
+        """The first vector v = ``vstar ^ f`` past ``vstar`` itself, f in
+        flip order, that is not a model, with the AND of the members above v
+        (None when there are none); None when every one is a model.
+
+        The first chunk is tested against every member.  Later chunks are
+        first tested against the witnesses of ``vstar``: a row whose
+        witnesses above it AND to exactly the row is a model.  The other
+        rows get the exact test, against the members with a still-set bit
+        off, or against every member when some row has no witness above it.
+        """
+        arr, vs = self.arr, np.uint64(vstar)
+        rows = max(1, min(_ROWS, _CHUNK_WORDS // arr.size))
+        wit = None
+        for lo in range(1, self.size, rows):
+            if self.flips is None:
+                self.flips = _ball_flips(self.n, self.alpha, self.size)
+            chunk = self.flips[lo:lo + rows] ^ vs
+            if lo == 1:
+                w, above = _and_above_rows(arr, chunk)
+            else:
+                if wit is None:
+                    wit = self.witnesses(vstar)
+                w, above = _and_above_rows(wit, chunk)
+                unsure = (w != chunk) | ~above
+                if not unsure.any():
+                    continue
+                rest = chunk[unsure]
+                if above[unsure].all():
+                    # Here w is the AND of the row's witnesses.  A member
+                    # >= v with every bit of w \ v on contains w, so only
+                    # the others can clear those bits.
+                    need = np.bitwise_or.reduce(w[unsure] & ~rest)
+                    w[unsure] &= _and_above_rows(arr[(arr & need) != need], rest)[0]
+                else:
+                    w[unsure], above[unsure] = _and_above_rows(arr, rest)
+            # At n = 64 the all-ones vector with no member above it would meet
+            # the fill value, hence the explicit test.
+            bad = (w != chunk) | ~above
+            if bad.any():
+                i = bad.argmax()
+                return int(chunk[i]), int(w[i]) if above[i] else None
+        return None
 
 
 def deduce_interior_charset(
@@ -349,16 +404,33 @@ def deduce_interior_charset(
 
     Cost.  v is a model iff some member is above it and the AND of the
     members above it is v (Kautz, Kearns & Selman, 1993).  Each restart
-    tests v* with one pass over the members, then the rest of the ball,
-    B = sum_{i <= alpha} C(n, i) vectors, in chunks of 128 vectors: each
-    chunk costs a few numpy passes over chunk x |charset| words, with no
-    Python work per vector.  A restart thus costs O(|charset|) when v* is
-    not a model and O(B |charset|) words at worst, evaluating at most 127
-    vectors past its culprit; at most n + 1 balls are scanned.
+    tests v* with one pass over the members.  Only when v* is a model is
+    the rest of the ball, B = sum_{i <= alpha} C(n, i) vectors, scanned in
+    chunks of 128 vectors: each chunk costs a few numpy passes over chunk x
+    members words, with no Python work per vector.  The first chunk is
+    tested against every member.  Later chunks are first tested against the
+    witnesses of v*: for each variable j, the member with j off that has the
+    fewest zeros inside v*, then the fewest zeros overall.  A vector whose
+    witnesses above it AND to exactly it is a model, since the AND of all
+    members above it lies between it and the AND of any nonempty subset of
+    them.  Only the other vectors get the exact test.  With w0 the AND of
+    the witnesses above v, a member above v with every bit of w0 \\ v on
+    contains w0, so w = w0 AND the members above v with such a bit off; a
+    chunk keeps the members with a bit of the union of these sets off, or
+    all members when some vector has no witness above it.
+    Certified vectors are models, so the first non-model in flip order and
+    its w are those of the full test.  A restart thus costs O(|charset|)
+    when v* is not a model and O(B |charset|) words at worst, evaluating at
+    most 127 vectors past its culprit; at most n + 1 balls are scanned.  At
+    n = 60 and about 600 members, the witnesses are about 60 members and
+    prove about 70 % of the later vectors models.
     Memory: a chunk has at most 128 rows and at most max(1, 2^17 //
     |charset|), so each of its temporaries holds max(2^17, |charset|) words
-    at most (1 MiB below 2^17 members).  The ball's flip masks are built
-    once per query in O(B) time, into B words (about 3 B while building).
+    at most (1 MiB below 2^17 members).  The ball's flip masks, B words
+    (about 3 B while building, in O(B) time), and the members' zero bits,
+    n |charset| bytes, are built once per query, on first need; a query
+    whose every v* is not a model builds neither.  The witnesses take n
+    words per restart.
 
     Why this is right.  Invariant: every interior model u falsifying c
     contains N; it holds for N = N(c).  At a restart v = (v* \\ D) | U with
@@ -383,14 +455,16 @@ def deduce_interior_charset(
             f"alpha={alpha} neighborhood at n={n} exceeds the cap of {cap} vectors"
         )
     arr = charset.bits_array
-    flips = _ball_flips(n, alpha, size)
+    ball = _BallScan(arr, n, alpha, size)
     vstar = c.neg_mask  # exactly N true
     trace: list[Model] = []
     for _ in range(n + 1):
-        found = _first_non_model(arr, flips, vstar)
-        if found is None:
-            return Decision(False, witness=Model(n, vstar), trace=tuple(trace))
-        v, w = found
+        v, w = vstar, _and_above(arr, vstar)
+        if w == vstar:
+            found = ball.first_non_model(vstar)
+            if found is None:
+                return Decision(False, witness=Model(n, vstar), trace=tuple(trace))
+            v, w = found
         trace.append(Model(n, v))
         # Nothing above v: all superset literals implied.
         jmask = (1 << n) - 1 if w is None else w & ~v

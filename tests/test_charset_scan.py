@@ -6,8 +6,11 @@ numpy chunks: one flip mask at a time from ``iter_flip_masks``, one member
 pass per vector.  Both must give equal whole ``Decision``s (answer, witness
 and trace) on random charsets, also with chunks of 1 to 3 rows so that
 culprits fall on chunk boundaries, and at n = 64, where the all-ones vector
-meets the fill value of the chunked AND.  The scan's numpy-built flip masks
-must equal ``iter_flip_masks``, which the scan does not use.
+meets the fill value of the chunked AND.  Charsets of products of small
+theories, at n = 30 to 64, send many chunks through the witness stage and
+both of its exact paths.  The scan's numpy-built flip masks must equal
+``iter_flip_masks``, which the scan does not use, and a query whose v* is
+not a model must not build the ball at all.
 """
 
 from __future__ import annotations
@@ -175,3 +178,88 @@ def test_ball_flips_peak_memory_is_a_few_times_the_ball():
     finally:
         tracemalloc.stop()
     assert flips.size == size and peak <= 4 * flips.nbytes
+
+
+def test_ball_is_not_built_when_vstar_is_not_a_model(monkeypatch):
+    # No member is above v* = {x1}: the v* test answers alone, whatever the
+    # size of the ball.
+    def no_ball(*args):
+        raise AssertionError("the alpha-ball was built")
+
+    monkeypatch.setattr(interior, "_ball_flips", no_ball)
+    n = 27
+    charset = ModelSet.from_bits(n, [(1 << n) - 1 ^ 1])
+    got = deduce_interior_charset(charset, Clause(neg={1}), 8)
+    assert got.entailed and got.trace == (Model(n, 1),)
+
+
+def _block_charset(rng: random.Random, n: int) -> ModelSet:
+    """The characteristic members of a product of small Horn theories, one
+    per block of eight to ten variables: a few definite rules each, and two
+    negative clauses in the first block, so that it has several maximal
+    models.  Each member is a non-maximal meet-irreducible model of one
+    block, or a maximal one, with a maximal model of every other block."""
+    blocks = n // 8
+    cuts = [n * b // blocks for b in range(blocks + 1)]
+    maximal, inner = [], []
+    for b, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        cube = np.arange(1 << (hi - lo), dtype=np.uint64)
+        ok = np.ones(cube.size, bool)
+        for k in range(rng.randint(2, 5) + 2 * (b == 0)):
+            *body, head = rng.sample(range(hi - lo), 3)
+            negative = b == 0 and k < 2
+            mask = np.uint64(index_mask(i + 1 for i in body + [head] * negative))
+            fires = (cube & mask) == mask
+            ok &= ~fires if negative else ~fires | ((cube >> np.uint64(head)) & np.uint64(1) == 1)
+        models = cube[ok]
+        col = models[:, None]
+        above = ((models & col) == col) & (models != col)
+        meet = np.bitwise_and.reduce(np.where(above, models, interior._ONES), axis=1)
+        top = ~above.any(axis=1)
+        maximal.append([int(m) << lo for m in models[top]])
+        inner.append([int(m) << lo for m in models[~top & (meet != models)]])
+    members = set()
+    for b in range(blocks):
+        rest = [0]
+        for other in range(blocks):
+            choices = maximal[other] + (inner[b] if other == b else [])
+            rest = [r | x for r in rest for x in choices]
+        members.update(rest)
+    return ModelSet.from_bits(n, members)
+
+
+@pytest.mark.parametrize("rows", [128, 8])
+def test_block_product_charsets_match_the_reference(monkeypatch, rows):
+    # Balls of many chunks, where later chunks go through the witness stage;
+    # 8-row chunks take alpha = 1 balls there too.  Count the rows no
+    # witness is above and the rows whose witnesses leave 30 or more bits
+    # open, so that both exact paths are known to run.
+    seen = {"uncovered": 0, "open30": 0}
+    witnesses, rows_above = interior._BallScan.witnesses, interior._and_above_rows
+    last = []
+
+    def spy_witnesses(self, vstar):
+        last[:] = [witnesses(self, vstar)]
+        return last[0]
+
+    def spy_rows(members, chunk):
+        w, above = rows_above(members, chunk)
+        if last and members is last[0]:
+            seen["uncovered"] += int((~above).sum())
+            seen["open30"] += sum(int(x).bit_count() >= 30 for x in (w & ~chunk)[above])
+        return w, above
+
+    monkeypatch.setattr(interior._BallScan, "witnesses", spy_witnesses)
+    monkeypatch.setattr(interior, "_and_above_rows", spy_rows)
+    monkeypatch.setattr(interior, "_ROWS", rows)
+    rng = random.Random(rows)
+    for n in (30, 41, 52, 64):
+        for _ in range(6):
+            charset = _block_charset(rng, n)
+            idx = rng.sample(range(1, n + 1), rng.randint(0, 4))
+            cut = rng.randint(0, min(2, len(idx)))
+            c = Clause(pos=set(idx[:cut]), neg=set(idx[cut:]))
+            for alpha in (1, 2):
+                got = deduce_interior_charset(charset, c, alpha)
+                assert got == _reference(charset, c, alpha), (n, sorted(charset.bits_set), c, alpha)
+    assert seen["uncovered"] and seen["open30"], seen

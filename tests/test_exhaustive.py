@@ -17,7 +17,9 @@ each interior-formula trace must be a derivation under the alpha-rule.
 
 The interior-charset trace is checked against the scan's rule too: each
 trace vector is the first non-model, in flip order, of the alpha-ball of
-its restart's v*, replayed from the same enumeration.
+its restart's v*, replayed from the same enumeration; once more with
+one-row chunks, so that every ball vector but v* and the first flip goes
+through the witness stage of the scan.
 """
 
 from __future__ import annotations
@@ -234,6 +236,13 @@ def _replay_interior_charset(n: int) -> int:
 
 
 def test_interior_charset_trace_is_the_first_non_model_of_each_ball():
+    assert _replay_interior_charset(3) == 13_682
+
+
+def test_interior_charset_trace_with_one_row_chunks(monkeypatch):
+    # At n = 3 every ball fits in one chunk; one-row chunks send every ball
+    # vector but v* and the first flip through the witness stage.
+    monkeypatch.setattr("hornsafe.interior._ROWS", 1)
     assert _replay_interior_charset(3) == 13_682
 
 
