@@ -10,7 +10,9 @@ Conventions used throughout the package:
   ``0101`` the leftmost character is ``x1``, so its true variables are
   ``{2, 4}``.
 * Model sets are duplicate-free and kept in a canonical order (sorted by
-  the 01-row), so serialisation is deterministic.
+  the 01-row), so serialisation is deterministic.  As the row's leftmost
+  character is bit 0, that is the ascending order of the members' bits
+  reversed over n bits.
 * Everything model-set based (:class:`ModelSet`, neighborhoods, the
   ``.models`` format) is capped at ``n = 64`` so members fit a machine
   word; the formula side (:class:`HornTheory` and friends) only needs
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -315,45 +317,129 @@ class HornTheory:
         return all(eval_clause(c, v) for c in self.clauses)
 
 
-@dataclass(frozen=True)
 class ModelSet:
-    """A duplicate-free set of models in canonical (01-row sorted) order."""
+    """A duplicate-free set of models over ``n <= 64`` variables, held as
+    ``bits_array``: a read-only ``uint64`` array of the members' bits in
+    canonical order (01-row order, that is ascending bit-reversed value).
+
+    :class:`Model` objects are made only when something iterates the set
+    or reads ``models``, and the set keeps none of them.
+    """
 
     n: int
-    models: tuple[Model, ...] = ()
+    bits_array: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VARS:
-            raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {self.n}")
-        uniq = {}
-        for m in self.models:
-            if m.n != self.n:
-                raise ValueError(f"model {m} has n={m.n}, set has n={self.n}")
-            uniq[m.bits] = m
-        ordered = tuple(sorted(uniq.values(), key=Model.to01))
-        object.__setattr__(self, "models", ordered)
+    def __init__(self, n: int, models: Iterable[Model] = ()) -> None:
+        _check_set_vars(n)
+        models = tuple(models)
+        for m in models:
+            if m.n != n:
+                raise ValueError(f"model {m} has n={m.n}, set has n={n}")
+        bits = np.fromiter((m.bits for m in models), np.uint64, len(models))
+        self.__dict__.update(n=n, bits_array=_canonical(bits))
+
+    @classmethod
+    def _of_array(cls, n: int, arr: np.ndarray) -> "ModelSet":
+        ms = object.__new__(cls)  # arr is canonical already: no __init__
+        ms.__dict__.update(n=n, bits_array=arr)
+        return ms
 
     @classmethod
     def from_bits(cls, n: int, bits: Iterable[int]) -> "ModelSet":
-        return cls(n, tuple(Model(n, int(b)) for b in bits))
+        """The set of the models with the given bits, in any order, repeats
+        allowed.  A numpy integer array is checked and sorted as it is,
+        with no Python int per member."""
+        _check_set_vars(n)
+        if isinstance(bits, np.ndarray) and bits.dtype.kind in "iu":
+            flat = bits.reshape(-1)
+            arr = flat.astype(np.uint64)
+            bad = flat < 0
+            if n < MAX_VARS:
+                bad |= arr >> np.uint64(n) != 0
+            if bad.any():
+                raise _bits_error(n, int(flat[bad.argmax()]))
+        else:
+            vals = list(map(int, bits))
+            if vals and (min(vals) < 0 or max(vals) >> n):
+                raise _bits_error(n, next(b for b in vals if not 0 <= b < 1 << n))
+            arr = np.array(vals, np.uint64)
+        return cls._of_array(n, _canonical(arr))
+
+    @property
+    def models(self) -> tuple[Model, ...]:
+        """The members as :class:`Model` objects, a new tuple on each read."""
+        return tuple(self)
 
     @cached_property
     def bits_set(self) -> frozenset[int]:
-        return frozenset(m.bits for m in self.models)
+        return frozenset(self.bits_array.tolist())
 
-    @cached_property
-    def bits_array(self) -> np.ndarray:
-        return np.fromiter((m.bits for m in self.models), dtype=np.uint64,
-                           count=len(self.models))
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ModelSet.from_bits, (self.n, self.bits_array)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.bits_array, other.bits_array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"ModelSet(n={self.n}, models={self.models!r})"
 
     def __contains__(self, v: Model) -> bool:
         return v.n == self.n and v.bits in self.bits_set
 
     def __iter__(self) -> Iterator[Model]:
-        return iter(self.models)
+        # Each Model is made when it is reached and kept by no one else, so
+        # a loop that drops it frees it at once and leaves the collector
+        # nothing.  The values passed the constructors' checks: the fields
+        # are filled in directly, at about half the cost of Model(n, bits).
+        n, new, put = self.n, object.__new__, object.__setattr__
+        for b in self.bits_array.tolist():
+            m = new(Model)
+            put(m, "n", n)
+            put(m, "bits", b)
+            yield m
 
     def __len__(self) -> int:
-        return len(self.models)
+        return self.bits_array.size
+
+
+def _check_set_vars(n: int) -> None:
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+
+
+def _bits_error(n: int, bits: int) -> ValueError:
+    return ValueError(f"bits 0x{bits:x} out of range for n={n}")
+
+
+#: Byte b with its eight bits in reverse order.
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+
+
+def _reversed_bits(arr: np.ndarray) -> np.ndarray:
+    """Each ``uint64`` of ``arr`` with its 64 bits in reverse order: every
+    byte reversed by table, then the byte order."""
+    return _REVERSED_BYTE[arr.view(np.uint8)].view(np.uint64).byteswap()
+
+
+def _canonical(arr: np.ndarray) -> np.ndarray:
+    """The distinct values of the ``uint64`` array ``arr`` in 01-row order,
+    as a new read-only array.  The row's leftmost character is bit 0, so
+    01-row order is the ascending order of the bit-reversed values; the
+    reversal is its own inverse."""
+    out = _reversed_bits(_unique(_reversed_bits(arr)))
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -596,42 +682,67 @@ def serialize_horn_cnf(t: HornTheory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_model_set(text: str | bytes) -> ModelSet:
-    """Parse the ``p models`` format into a canonical :class:`ModelSet`.
+def _model_rows(n: int, k: int, lines: list[str]) -> Optional[np.ndarray]:
+    """The ``k`` rows as ``uint64`` bits in file order, decoded in one pass
+    over their joined bytes; None when some row is malformed or the count
+    is off."""
+    if len(lines) != k or k and set(map(len, lines)) != {n}:
+        return None
+    try:
+        raw = "".join(lines).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    digits = np.frombuffer(raw, np.uint8).reshape(k, n) - np.uint8(ord("0"))
+    if (digits > 1).any():
+        return None
+    words = np.zeros((k, 8), np.uint8)
+    words[:, :(n + 7) // 8] = np.packbits(digits, axis=1, bitorder="little")
+    return words.view("<u8").reshape(k).astype(np.uint64)
 
-    Duplicate rows are dropped with a warning.
-    """
-    header = None
-    models: list[Model] = []
-    seen_rows: set[str] = set()
-    read = 0  # rows, duplicates included (the header counts rows)
-    for lineno, line in _lines(text):
-        if header is None:
-            header = _parse_header(line, lineno, "models", MAX_VARS)
-            continue
-        n, k = header
+
+def _check_model_rows(n: int, k: int, numbered: list[tuple[int, str]]) -> None:
+    """Walk the rows in file order: warn about each duplicate, and raise the
+    error of the first bad row or of the row count.  Run only when the
+    array pass finds a duplicate or rejects the input."""
+    seen: set[str] = set()
+    for read, (lineno, line) in enumerate(numbered, start=1):
         if len(line) != n:
             raise ParseError(f"line {lineno}: row has length {len(line)}, expected {n}")
         if set(line) - {"0", "1"}:
             raise ParseError(f"line {lineno}: row contains characters outside 0/1: {line!r}")
-        read += 1
         if read > k:
             raise ParseError(f"line {lineno}: more rows than the header announced ({k})")
-        if line in seen_rows:
+        if line in seen:
             warnings.warn(f"line {lineno}: duplicate model row dropped: {line}")
-        else:
-            seen_rows.add(line)
-            models.append(Model.from_string(line))
+        seen.add(line)
+    if len(numbered) != k:
+        raise ParseError(f"header announced {k} rows, file has {len(numbered)}")
+
+
+def parse_model_set(text: str | bytes) -> ModelSet:
+    """Parse the ``p models`` format into a canonical :class:`ModelSet`.
+
+    Duplicate rows are dropped with a warning.  The rows are decoded and
+    checked in one numpy pass; they are walked one by one only to name a
+    bad row or a duplicate.
+    """
+    walk = _lines(text)
+    lineno, header = next(walk, (0, None))
     if header is None:
         raise ParseError("missing 'p models' header")
-    n, k = header
-    if read != k:
-        raise ParseError(f"header announced {k} rows, file has {read}")
-    return ModelSet(n, tuple(models))
+    n, k = _parse_header(header, lineno, "models", MAX_VARS)
+    numbered = list(walk)
+    rows = _model_rows(n, k, [line for _, line in numbered])
+    arr = None if rows is None else _canonical(rows)
+    if arr is None or arr.size < k:
+        _check_model_rows(n, k, numbered)
+    return ModelSet._of_array(n, arr)
 
 
 def serialize_model_set(ms: ModelSet) -> str:
     """Render a model set in the ``p models`` format, rows in canonical order."""
-    lines = [f"p models {ms.n} {len(ms)}"]
-    lines.extend(m.to01() for m in ms)
-    return "\n".join(lines) + "\n"
+    n, k = ms.n, len(ms)
+    words = ms.bits_array.astype("<u8").view(np.uint8).reshape(k, 8)
+    rows = np.full((k, n + 1), ord("\n"), np.uint8)
+    rows[:, :n] = np.unpackbits(words, axis=1, count=n, bitorder="little") + np.uint8(ord("0"))
+    return f"p models {n} {k}\n" + rows.tobytes().decode("ascii")

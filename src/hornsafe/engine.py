@@ -228,7 +228,7 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     """
     if not len(ms):
         return ms
-    gens = _unique(ms.bits_array)
+    gens = ms.bits_array
     closed = frontier = gens
     rows = max(1, _BLOCK // gens.size)
     while frontier.size:
@@ -238,7 +238,7 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
             fresh.append(cand[~np.isin(cand, closed, assume_unique=True)])
         frontier = _unique(np.concatenate(fresh))
         closed = np.concatenate((closed, frontier))
-    return ModelSet.from_bits(ms.n, closed.tolist())
+    return ModelSet.from_bits(ms.n, closed)
 
 
 def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
@@ -261,7 +261,7 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     of such single steps starting from ``a``.  O(|M|^2 n) for the extraction
     and O(|M| x |extracted|) for the check, both in blocks of :data:`_BLOCK`.
     """
-    arr = _unique(ms.bits_array)
+    arr = ms.bits_array
     if not arr.size:
         return arr, True
     ones = (arr[:, None] >> np.arange(ms.n, dtype=np.uint64) & np.uint64(1)).astype(np.float32)
@@ -304,4 +304,4 @@ def characteristic_set(ms: ModelSet) -> ModelSet:
     gens, closed = _characteristic(ms)
     if not closed:
         raise ValueError("model set is not closed under intersection")
-    return ModelSet.from_bits(ms.n, gens.tolist())
+    return ModelSet.from_bits(ms.n, gens)

@@ -78,15 +78,15 @@ def deduce_envelope_charset(charset: ModelSet, c: Clause, alpha: int) -> Decisio
     full = (1 << n) - 1
     neg_bits = c.neg_mask
     boundary: list[int] = []  # members with exactly alpha off-bits inside N(c)
-    for m in charset:
-        off_in_neg = (~m.bits & neg_bits & full).bit_count()
+    for m in charset.bits_array.tolist():
+        off_in_neg = (~m & neg_bits & full).bit_count()
         if off_in_neg < alpha:
             # Per-index copies of m (missing N(c) bits set, one P(c) bit
             # cleared) stay inside the alpha-neighborhood; their AND is an
             # envelope model falsifying c.
-            return Decision(False, witness=_falsifier_near(m.bits, c, n), trace=(m,))
+            return Decision(False, witness=_falsifier_near(m, c, n), trace=(Model(n, m),))
         if off_in_neg == alpha:
-            boundary.append(m.bits)
+            boundary.append(m)
     witness = _cover_witness(boundary, c, n)
     if witness is not None:
         return Decision(False, witness=witness)

@@ -170,7 +170,7 @@ def deduce_exterior_charset(
 def _exterior_charset_pos(charset: ModelSet, c: Clause, alpha: int, cap: int) -> Decision:
     n = charset.n
     full = (1 << n) - 1
-    members = [m.bits for m in charset]
+    members = charset.bits_array.tolist()
     plist = sorted(c.pos)
     pn = len(plist)
     pos_bits = c.pos_mask

@@ -314,6 +314,7 @@ class _BallScan:
         self.arr, self.n, self.alpha, self.size = arr, n, alpha, size
         self.flips: Optional[np.ndarray] = None
         self.zeros: Optional[np.ndarray] = None  # (n, members): bit j of member k is off
+        self.zero_counts: Optional[np.ndarray] = None  # per member: its zeros
 
     def witnesses(self, vstar: int) -> np.ndarray:
         """For each variable j, the member with j off that has the fewest
@@ -326,9 +327,10 @@ class _BallScan:
             words = arr.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
             bits = np.unpackbits(words, axis=1, bitorder="little")
             self.zeros = bits[:, :n].T == 0
+            self.zero_counts = self.zeros.sum(axis=0)
         zeros = self.zeros
         inside = np.fromiter(mask_indices(vstar), np.intp) - 1
-        order = np.argsort((n + 1) * zeros[inside].sum(axis=0) + zeros.sum(axis=0), kind="stable")
+        order = np.argsort((n + 1) * zeros[inside].sum(axis=0) + self.zero_counts, kind="stable")
         return arr[order[zeros[:, order].argmax(axis=1)]]
 
     def first_non_model(self, vstar: int) -> Optional[tuple[int, Optional[int]]]:

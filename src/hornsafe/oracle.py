@@ -33,7 +33,7 @@ def all_models(t: HornTheory) -> ModelSet:
     for c in t.clauses:
         # A clause fails exactly where N(c) is all true and P(c) all false.
         arr = arr[arr & np.uint32(c.pos_mask | c.neg_mask) != np.uint32(c.neg_mask)]
-    return ModelSet.from_bits(t.n, arr.tolist())
+    return ModelSet.from_bits(t.n, arr)
 
 
 def _member_mask(ms: ModelSet) -> np.ndarray:
@@ -54,7 +54,7 @@ def interior_models(ms: ModelSet, alpha: int) -> ModelSet:
     for f in iter_flip_masks(ms.n, alpha):
         if f:
             acc &= member[idx ^ np.uint64(f)]
-    return ModelSet.from_bits(ms.n, np.flatnonzero(acc).tolist())
+    return ModelSet.from_bits(ms.n, np.flatnonzero(acc))
 
 
 def exterior_models(ms: ModelSet, alpha: int) -> ModelSet:
@@ -68,7 +68,7 @@ def exterior_models(ms: ModelSet, alpha: int) -> ModelSet:
     for f in iter_flip_masks(ms.n, alpha):
         if f:
             acc |= member[idx ^ np.uint64(f)]
-    return ModelSet.from_bits(ms.n, np.flatnonzero(acc).tolist())
+    return ModelSet.from_bits(ms.n, np.flatnonzero(acc))
 
 
 def intersection_closure(ms: ModelSet) -> ModelSet:
@@ -77,7 +77,7 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     so the envelope oracle never checks that code against itself."""
     if not len(ms):
         return ms
-    arr = _unique(ms.bits_array)
+    arr = ms.bits_array
     while True:
         rows = max(1, (1 << 22) // arr.size)  # bound each outer block to ~32MB
         chunks = [arr]
@@ -86,7 +86,7 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
             chunks.append(_unique(np.bitwise_and.outer(block, arr)))
         grown = _unique(np.concatenate(chunks))
         if grown.size == arr.size:
-            return ModelSet.from_bits(ms.n, arr.tolist())
+            return ModelSet.from_bits(ms.n, arr)
         arr = grown
 
 
