@@ -30,7 +30,7 @@ from .core import (
     serialize_horn_cnf,
     serialize_model_set,
 )
-from .engine import characteristic_set
+from .engine import characteristic_set, intersection_closure
 from .envelope import deduce_envelope_charset, deduce_envelope_formula
 from .exterior import deduce_exterior_charset, deduce_exterior_formula
 from .gen import (
@@ -44,7 +44,8 @@ from .gen import (
     vertex_cover_instance,
 )
 from .interior import deduce_interior_charset, deduce_interior_formula
-from .oracle import all_models, envelope_models, exterior_models, interior_models, oracle_deduce
+from .oracle import (_check_n, all_models, envelope_models, exterior_models, interior_models,
+                     oracle_deduce)
 
 
 def _parse_clause_arg(text: str) -> Clause:
@@ -113,9 +114,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.theory:
         base = all_models(_load_theory(args.theory))
     else:
-        # The charset's closure is its full model set; envelope_models caps n
-        # before it closes.
-        base = envelope_models(_load_charset(args.charset))
+        # The charset's closure is its full model set.  n is capped before
+        # it closes: the closure can grow toward 2^n members.
+        charset = _load_charset(args.charset)
+        _check_n(charset.n)
+        base = intersection_closure(charset)
     if args.mode == "interior":
         target = interior_models(base, args.alpha)
     elif args.mode == "exterior":

@@ -17,13 +17,16 @@ Conventions used throughout the package:
   ``.models`` format) is capped at ``n = 64`` so members fit a machine
   word; the formula side (:class:`HornTheory` and friends) only needs
   arbitrary-precision ints and accepts much larger ``n``.
+* Each representation has one stored form: a :class:`HornTheory` its flat
+  clause arrays (:class:`FlatClauses`), a :class:`ModelSet` one ``uint64``
+  array; ``clauses`` and ``models`` are views of them.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -77,6 +80,19 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+def _check_vars(n: int, cap: int) -> None:
+    """The variable-count check of every constructor: ``n`` in ``1..cap``."""
+    if not 1 <= n <= cap:
+        raise ValueError(f"variable count must be in 1..{cap}, got {n}")
+
+
+def _bit_rows(arr: np.ndarray, n: int) -> np.ndarray:
+    """The members of the ``uint64`` array ``arr`` as a (k, n) 0/1 ``uint8``
+    matrix, column i holding bit i."""
+    words = arr.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(words, axis=1, count=n, bitorder="little")
+
+
 @dataclass(frozen=True)
 class Model:
     """A truth assignment over ``n`` variables, packed into one int.
@@ -88,12 +104,9 @@ class Model:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= FORMULA_MAX_VARS:
-            raise ValueError(
-                f"variable count must be in 1..{FORMULA_MAX_VARS}, got {self.n}"
-            )
+        _check_vars(self.n, FORMULA_MAX_VARS)
         if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for n={self.n}")
+            raise _bits_error(self.n, self.bits)
 
     @classmethod
     def from_string(cls, row: str) -> "Model":
@@ -247,61 +260,55 @@ class FlatClauses(NamedTuple):
                      for h, lo, hi in zip(heads, offsets, offsets[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # for the frozen fields and the repr; the rest is defined below
 class HornTheory:
     """A set of Horn clauses over variables ``1..n``, input order preserved.
 
-    The clauses are held as ``clauses`` (a tuple of :class:`Clause`) and as
-    ``flat`` (:class:`FlatClauses`, which the propagation index is built
-    from); either is derived from the other on first use and then kept.  A
-    parsed theory starts with ``flat`` only.  The formula routes keep the
-    propagation index on the object too (:func:`hornsafe.engine.propagator`);
-    pickling or copying carries ``n`` and ``flat`` only.
+    The one stored form is ``flat`` (:class:`FlatClauses`), which the
+    propagation index is built from and which ``==`` and ``hash`` compare.
+    ``clauses`` is a view of it as a tuple of :class:`Clause`: a built
+    theory keeps the clauses it was given, less the repeats; a parsed one
+    builds them on first read.  The formula routes keep the propagation
+    index on the object too (:func:`hornsafe.engine.propagator`); pickling
+    or copying carries ``n`` and ``flat`` only.
     """
 
     n: int
-    # A default factory leaves no class attribute to shadow __getattr__.
-    clauses: tuple[Clause, ...] = field(default_factory=tuple)
+    flat: FlatClauses
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= FORMULA_MAX_VARS:
-            raise ValueError(
-                f"variable count must be in 1..{FORMULA_MAX_VARS}, got {self.n}"
-            )
-        seen = set()
-        kept = []
-        for c in self.clauses:
+    def __init__(self, n: int, clauses: tuple[Clause, ...] = ()) -> None:
+        _check_vars(n, FORMULA_MAX_VARS)
+        clauses = tuple(clauses)
+        for c in clauses:
             if not c.is_horn:
                 raise ValueError(f"clause [{c}] has {len(c.pos)} positive literals")
-            if c.width > self.n:
-                raise ValueError(f"clause [{c}] mentions x{c.width} but n={self.n}")
-            size = len(seen)
-            seen.add(c)  # one hash per clause; the set grows only for a new one
-            if len(seen) > size:
-                kept.append(c)
-        object.__setattr__(self, "clauses", tuple(kept))
+            _check_width(c, n)
+        flat, dropped = _drop_duplicates(FlatClauses.from_clauses(n, clauses))
+        if dropped:
+            drop = set(dropped)  # built once: the filter stays linear
+            clauses = tuple(c for k, c in enumerate(clauses) if k not in drop)
+        self.__dict__.update(n=n, flat=flat, clauses=clauses)
 
     @classmethod
     def _of_flat(cls, n: int, flat: FlatClauses) -> "HornTheory":
-        t = object.__new__(cls)  # validated, duplicate-free arrays: no __post_init__
+        t = object.__new__(cls)  # validated, duplicate-free arrays: no __init__
         t.__dict__.update(n=n, flat=flat)
         return t
 
-    def __getattr__(self, name: str):
-        # Only reached for the form of the clauses not derived yet; it is
-        # published once fully built.
-        have = self.__dict__
-        if name == "clauses" and "flat" in have:
-            value = have["flat"].to_clauses()
-        elif name == "flat" and "clauses" in have:
-            value = FlatClauses.from_clauses(have["n"], have["clauses"])
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        return self.flat.to_clauses()
 
     def __getstate__(self) -> dict:
         return {"n": self.n, "flat": self.flat}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and all(map(np.array_equal, self.flat, other.flat))
+
+    def __hash__(self) -> int:
+        return hash((self.n, *(a.tobytes() for a in self.flat)))
 
     @property
     def size(self) -> int:
@@ -330,13 +337,13 @@ class ModelSet:
     bits_array: np.ndarray
 
     def __init__(self, n: int, models: Iterable[Model] = ()) -> None:
-        _check_set_vars(n)
-        models = tuple(models)
-        for m in models:
-            if m.n != n:
-                raise ValueError(f"model {m} has n={m.n}, set has n={n}")
-        bits = np.fromiter((m.bits for m in models), np.uint64, len(models))
-        self.__dict__.update(n=n, bits_array=_canonical(bits))
+        def bits() -> Iterator[int]:  # read by from_bits after its check of n
+            for m in models:
+                if m.n != n:
+                    raise ValueError(f"model {m} has n={m.n}, set has n={n}")
+                yield m.bits
+
+        self.__dict__.update(vars(ModelSet.from_bits(n, bits())))
 
     @classmethod
     def _of_array(cls, n: int, arr: np.ndarray) -> "ModelSet":
@@ -349,7 +356,7 @@ class ModelSet:
         """The set of the models with the given bits, in any order, repeats
         allowed.  A numpy integer array is checked and sorted as it is,
         with no Python int per member."""
-        _check_set_vars(n)
+        _check_vars(n, MAX_VARS)
         if isinstance(bits, np.ndarray) and bits.dtype.kind in "iu":
             flat = bits.reshape(-1)
             arr = flat.astype(np.uint64)
@@ -413,11 +420,6 @@ class ModelSet:
         return self.bits_array.size
 
 
-def _check_set_vars(n: int) -> None:
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
-
-
 def _bits_error(n: int, bits: int) -> ValueError:
     return ValueError(f"bits 0x{bits:x} out of range for n={n}")
 
@@ -473,14 +475,18 @@ def _check_query(c: Clause, alpha: int, n: int) -> None:
     """The argument checks every ``deduce_*`` route starts with."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    _check_width(c, n)
+
+
+def _check_width(c: Clause, n: int) -> None:
+    """The check that ``c`` mentions no variable beyond ``n``."""
     if c.width > n:
         raise ValueError(f"clause [{c}] mentions x{c.width} but n={n}")
 
 
 def eval_clause(c: Clause, v: Model) -> bool:
     """Clause satisfaction: some positive index on or some negative index off."""
-    if c.width > v.n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but model has n={v.n}")
+    _check_width(c, v.n)
     return bool(v.bits & c.pos_mask) or bool(c.neg_mask & ~v.bits)
 
 
@@ -742,7 +748,6 @@ def parse_model_set(text: str | bytes) -> ModelSet:
 def serialize_model_set(ms: ModelSet) -> str:
     """Render a model set in the ``p models`` format, rows in canonical order."""
     n, k = ms.n, len(ms)
-    words = ms.bits_array.astype("<u8").view(np.uint8).reshape(k, 8)
     rows = np.full((k, n + 1), ord("\n"), np.uint8)
-    rows[:, :n] = np.unpackbits(words, axis=1, count=n, bitorder="little") + np.uint8(ord("0"))
+    rows[:, :n] = _bit_rows(ms.bits_array, n) + np.uint8(ord("0"))
     return f"p models {n} {k}\n" + rows.tobytes().decode("ascii")

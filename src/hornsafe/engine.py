@@ -21,7 +21,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Clause, Decision, HornTheory, Model, ModelSet, _unique, index_mask
+from .core import (Clause, Decision, HornTheory, Model, ModelSet, _bit_rows, _check_width,
+                   _unique, index_mask)
 
 
 class HornPropagator:
@@ -133,10 +134,10 @@ def propagator(t: HornTheory) -> HornPropagator:
 
     The index is stored in the theory object's own attribute dictionary, so
     the lookup goes by object identity and never through the value hash of
-    :class:`~hornsafe.core.HornTheory`, which would hash every clause.  Two
-    threads racing on the first use may each build one; an index is
-    published only once fully built, and either serves.  Equal theories
-    parsed separately each build their own.
+    :class:`~hornsafe.core.HornTheory`, which would read all three clause
+    arrays on every call.  Two threads racing on the first use may each
+    build one; an index is published only once fully built, and either
+    serves.  Equal theories parsed separately each build their own.
     """
     try:
         return t.__dict__["_propagator"]
@@ -162,8 +163,7 @@ def entails(t: HornTheory, c: Clause) -> Decision:
     satisfiable with N(c) pinned true and P(c) pinned false; the minimal
     such model is the countermodel reported on NO.
     """
-    if c.width > t.n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={t.n}")
+    _check_width(c, t.n)
     m = minimal_model(t, c.neg, c.pos)
     if m is None:
         return Decision(True)
@@ -200,8 +200,7 @@ def charset_entails(charset: ModelSet, c: Clause) -> Decision:
     The theory entails ``c`` iff the minimal model above ``v*`` is absent or
     satisfies ``c``; otherwise that model is the countermodel.
     """
-    if c.width > charset.n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={charset.n}")
+    _check_width(c, charset.n)
     w = min_model_above(charset, Model(charset.n, c.neg_mask))
     if w is None:
         return Decision(True)
@@ -264,7 +263,7 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     arr = ms.bits_array
     if not arr.size:
         return arr, True
-    ones = (arr[:, None] >> np.arange(ms.n, dtype=np.uint64) & np.uint64(1)).astype(np.float32)
+    ones = _bit_rows(arr, ms.n).astype(np.float32)
     zeros = 1 - ones
     rows = max(1, _BLOCK // arr.size)
     keep = arr == np.uint64((1 << ms.n) - 1)

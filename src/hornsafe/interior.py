@@ -39,6 +39,7 @@ from .core import (
     Model,
     ModelSet,
     Term,
+    _bit_rows,
     _check_query,
     index_mask,
     mask_indices,
@@ -324,9 +325,7 @@ class _BallScan:
         many vectors the witness test settles."""
         arr, n = self.arr, self.n
         if self.zeros is None:
-            words = arr.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-            bits = np.unpackbits(words, axis=1, bitorder="little")
-            self.zeros = bits[:, :n].T == 0
+            self.zeros = _bit_rows(arr, n).T == 0
             self.zero_counts = self.zeros.sum(axis=0)
         zeros = self.zeros
         inside = np.fromiter(mask_indices(vstar), np.intp) - 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Clause, HornTheory, ModelSet, _unique, iter_flip_masks
+from .core import Clause, HornTheory, ModelSet, _check_width, _unique, iter_flip_masks
 
 ORACLE_MAX_VARS = 24
 
@@ -36,39 +36,32 @@ def all_models(t: HornTheory) -> ModelSet:
     return ModelSet.from_bits(t.n, arr)
 
 
-def _member_mask(ms: ModelSet) -> np.ndarray:
+def _ball_fold(ms: ModelSet, alpha: int, fold: np.ufunc) -> ModelSet:
+    """The models v whose membership in ``ms``, folded with ``fold``
+    (``np.logical_and`` or ``np.logical_or``) over the alpha-ball of v,
+    holds."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    _check_n(ms.n)
     member = np.zeros(1 << ms.n, dtype=bool)
     if len(ms):
         member[ms.bits_array] = True
-    return member
+    idx = np.arange(1 << ms.n, dtype=np.uint64)
+    acc = member.copy()
+    for f in iter_flip_masks(ms.n, alpha):
+        if f:
+            fold(acc, member[idx ^ np.uint64(f)], out=acc)
+    return ModelSet.from_bits(ms.n, np.flatnonzero(acc))
 
 
 def interior_models(ms: ModelSet, alpha: int) -> ModelSet:
     """Models whose whole alpha-neighborhood lies inside ``ms``."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    _check_n(ms.n)
-    member = _member_mask(ms)
-    idx = np.arange(1 << ms.n, dtype=np.uint64)
-    acc = member.copy()
-    for f in iter_flip_masks(ms.n, alpha):
-        if f:
-            acc &= member[idx ^ np.uint64(f)]
-    return ModelSet.from_bits(ms.n, np.flatnonzero(acc))
+    return _ball_fold(ms, alpha, np.logical_and)
 
 
 def exterior_models(ms: ModelSet, alpha: int) -> ModelSet:
     """Models whose alpha-neighborhood meets ``ms``."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    _check_n(ms.n)
-    member = _member_mask(ms)
-    idx = np.arange(1 << ms.n, dtype=np.uint64)
-    acc = member.copy()
-    for f in iter_flip_masks(ms.n, alpha):
-        if f:
-            acc |= member[idx ^ np.uint64(f)]
-    return ModelSet.from_bits(ms.n, np.flatnonzero(acc))
+    return _ball_fold(ms, alpha, np.logical_or)
 
 
 def intersection_closure(ms: ModelSet) -> ModelSet:
@@ -98,8 +91,7 @@ def envelope_models(ms: ModelSet) -> ModelSet:
 
 def oracle_deduce(ms: ModelSet, c: Clause) -> bool:
     """True iff every model in ``ms`` satisfies ``c`` (vacuously true on empty)."""
-    if c.width > ms.n:
-        raise ValueError(f"clause [{c}] mentions x{c.width} but n={ms.n}")
+    _check_width(c, ms.n)
     if not len(ms):
         return True
     arr = ms.bits_array

@@ -148,6 +148,26 @@ class TestHornTheory:
         t = HornTheory(3, (a, b, a))
         assert t.clauses == (a, b)
 
+    def test_dedup_keeps_the_first_object_of_each_clause(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            pool = [(), (rng.randint(1, n),)]  # the empty clause and a fact
+            for _ in range(rng.randint(1, 6)):
+                body = rng.sample(range(1, n + 1), rng.randint(0, n))
+                head = rng.choice([0] + [i for i in range(1, n + 1) if i not in body])
+                pool.append(tuple(-i for i in body) + ((head,) if head else ()))
+            clauses = []
+            for _ in range(rng.randint(0, 20)):
+                lits = list(rng.choice(pool))
+                rng.shuffle(lits)  # the same clause, its literals in another order
+                clauses.append(Clause.from_literals(lits))
+            t = HornTheory(n, clauses)
+            first = tuple(dict.fromkeys(clauses))
+            assert t.clauses == first
+            assert all(kept is want for kept, want in zip(t.clauses, first))
+            assert len(t.flat.heads) == len(first) and t == HornTheory(n, first)
+
     def test_size_measure(self, ex2):
         assert ex2.size == 6
 

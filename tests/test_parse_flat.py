@@ -235,3 +235,14 @@ def test_pickle_and_copy_of_a_parsed_theory_carry_only_the_arrays():
     for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert sorted(vars(other)) == ["flat", "n"]
         assert other == t and hash(other) == hash(t)
+
+
+def test_comparing_hashing_or_copying_a_parsed_theory_builds_no_clauses():
+    text = serialize_horn_cnf(random_horn(40, 150, 4, seed=5))
+    t, same = parse_horn_cnf(text), parse_horn_cnf(text)
+    assert t == same and hash(t) == hash(same)
+    assert t != parse_horn_cnf(serialize_horn_cnf(random_horn(40, 150, 4, seed=6)))
+    for other in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+        assert other == t and hash(other) == hash(t)
+        assert "clauses" not in vars(other)
+    assert "clauses" not in vars(t) and "clauses" not in vars(same)
