@@ -97,9 +97,15 @@ def _bit_rows(arr: np.ndarray, n: int) -> np.ndarray:
 class Model:
     """A truth assignment over ``n`` variables, packed into one int.
 
-    Bits beyond position ``n-1`` must be zero; equality is bitwise.
+    Bits beyond position ``n-1`` must be zero; equality is bitwise.  The
+    two fields are slots, with no ``__dict__``; pickling and copying go
+    through the constructor.
     """
 
+    # Declared here, not with slots=True: that makes a second class, and on
+    # Python 3.10 and 3.11 its frozen __setattr__ then raises TypeError, not
+    # FrozenInstanceError, for a name that is not a field.
+    __slots__ = ("n", "bits")
     n: int
     bits: int
 
@@ -107,6 +113,9 @@ class Model:
         _check_vars(self.n, FORMULA_MAX_VARS)
         if not 0 <= self.bits < (1 << self.n):
             raise _bits_error(self.n, self.bits)
+
+    def __reduce__(self):
+        return Model, (self.n, self.bits)
 
     @classmethod
     def from_string(cls, row: str) -> "Model":
@@ -407,13 +416,14 @@ class ModelSet:
     def __iter__(self) -> Iterator[Model]:
         # Each Model is made when it is reached and kept by no one else, so
         # a loop that drops it frees it at once and leaves the collector
-        # nothing.  The values passed the constructors' checks: the fields
-        # are filled in directly, at about half the cost of Model(n, bits).
-        n, new, put = self.n, object.__new__, object.__setattr__
+        # nothing.  The values passed the constructors' checks: the two
+        # slots are filled through their descriptors, skipping __init__ and
+        # the frozen __setattr__.
+        n, new, put_n, put_bits = self.n, object.__new__, Model.n.__set__, Model.bits.__set__
         for b in self.bits_array.tolist():
             m = new(Model)
-            put(m, "n", n)
-            put(m, "bits", b)
+            put_n(m, n)
+            put_bits(m, b)
             yield m
 
     def __len__(self) -> int:
