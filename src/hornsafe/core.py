@@ -72,12 +72,14 @@ def mask_indices(mask: int) -> frozenset[int]:
 def _unique(a: np.ndarray) -> np.ndarray:
     """The distinct values of ``a``, flattened and ascending, as ``np.unique``
     gives them: one sort and a neighbour mask, where numpy 2.4's ``np.unique``
-    takes a hash path several times slower on integers."""
-    a = np.sort(a, axis=None)
+    takes a hash path several times slower on integers.  A contiguous ``a``
+    is sorted in place, and is the result when it has no repeats."""
+    a = a.reshape(-1)
+    a.sort()
     keep = np.empty(a.size, bool)
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+    return a if keep.all() else a[keep]
 
 
 def _check_vars(n: int, cap: int) -> None:
@@ -367,19 +369,13 @@ class ModelSet:
         with no Python int per member."""
         _check_vars(n, MAX_VARS)
         if isinstance(bits, np.ndarray) and bits.dtype.kind in "iu":
-            flat = bits.reshape(-1)
-            arr = flat.astype(np.uint64)
-            bad = flat < 0
-            if n < MAX_VARS:
-                bad |= arr >> np.uint64(n) != 0
-            if bad.any():
-                raise _bits_error(n, int(flat[bad.argmax()]))
-        else:
-            vals = list(map(int, bits))
-            if vals and (min(vals) < 0 or max(vals) >> n):
-                raise _bits_error(n, next(b for b in vals if not 0 <= b < 1 << n))
-            arr = np.array(vals, np.uint64)
-        return cls._of_array(n, _canonical(arr))
+            bits = bits.reshape(-1)
+            if not bits.size or int(bits.min()) >= 0 and not int(bits.max()) >> n:
+                return cls._of_array(n, _canonical(bits.astype(np.uint64)))
+        vals = list(map(int, bits))
+        if vals and (min(vals) < 0 or max(vals) >> n):
+            raise _bits_error(n, next(b for b in vals if not 0 <= b < 1 << n))
+        return cls._of_array(n, _canonical(np.array(vals, np.uint64)))
 
     @property
     def models(self) -> tuple[Model, ...]:
@@ -438,18 +434,23 @@ def _bits_error(n: int, bits: int) -> ValueError:
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
 
-def _reversed_bits(arr: np.ndarray) -> np.ndarray:
-    """Each ``uint64`` of ``arr`` with its 64 bits in reverse order: every
-    byte reversed by table, then the byte order."""
-    return _REVERSED_BYTE[arr.view(np.uint8)].view(np.uint64).byteswap()
+def _reverse_bits(arr: np.ndarray) -> None:
+    """Reverse the 64 bits of each ``uint64`` of ``arr`` in place: every byte
+    by table, through one ``arr``-sized temporary (``np.take`` would first
+    copy the byte indices to ``intp``, eight times that), then the byte order."""
+    octets = arr.view(np.uint8)
+    octets[:] = _REVERSED_BYTE[octets]
+    arr.byteswap(inplace=True)
 
 
 def _canonical(arr: np.ndarray) -> np.ndarray:
-    """The distinct values of the ``uint64`` array ``arr`` in 01-row order,
-    as a new read-only array.  The row's leftmost character is bit 0, so
-    01-row order is the ascending order of the bit-reversed values; the
-    reversal is its own inverse."""
-    out = _reversed_bits(_unique(_reversed_bits(arr)))
+    """The distinct values of the ``uint64`` array ``arr`` in 01-row order, as
+    a read-only array; ``arr`` is reordered in place and may be the result.
+    The row's leftmost character is bit 0, so 01-row order is the ascending
+    order of the bit-reversed values; the reversal is its own inverse."""
+    _reverse_bits(arr)
+    out = _unique(arr)
+    _reverse_bits(out)
     out.flags.writeable = False
     return out
 
@@ -570,63 +571,84 @@ def _parse_header(line: str, lineno: int, kind: str, max_n: int) -> tuple[int, i
 
 
 _TOKEN = re.compile(r"-?[0-9]+")
-_BREAK = -(1 << 62)  # joins the clause lines for the numeric pass; out of range for any n
+_LINE_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
+_LINE = re.compile(rf"([^{_LINE_BREAKS}]*)(?:\r\n|[{_LINE_BREAKS}]|\Z)")  # one line and its break
+_CLAUSE_CHARS = b"0123456789- \t\n"
 
 
-def _flat_clauses(n: int, lines: list[str]) -> Optional[FlatClauses]:
-    """The clause lines as flat arrays, repeated literals collapsed, in a
-    few array passes; None when some line is malformed."""
-    if not lines:
-        return FlatClauses.from_clauses(n, ())
-    try:
-        raw = f" {_BREAK} ".join(lines).encode("ascii")
-    except UnicodeEncodeError:
+def _flat_clauses(n: int, m: int, region: str) -> Optional[FlatClauses]:
+    """The clause region, the text after the header line, as flat arrays,
+    repeated literals collapsed, in one pass over its bytes; None when some
+    clause line is malformed or there are not ``m`` of them."""
+    raw = region.encode("ascii", "replace")  # any other character fails the next test
+    if raw.translate(None, _CLAUSE_CHARS):
+        # Comments, other line breaks or stray characters: the stripped clause lines.
+        raw = "\n".join(line for line in map(str.strip, region.splitlines())
+                        if line and not line.startswith("c")).encode("ascii", "replace")
+        if raw.translate(None, _CLAUSE_CHARS):
+            return None
+    # Only digits, '-', and spaces, tabs and '\n' (the pad: every line ends in
+    # one), which sort below '-'.  Each '-' follows a separator or the header
+    # line and precedes a digit, so a token is a run of non-separators.
+    raw += b"\n"
+    chars = np.frombuffer(raw, np.uint8)
+    sep = chars < ord("-")
+    minus = chars == ord("-")
+    if (minus[1:] & ~sep[:-1]).any() or (minus[:-1] & (chars[1:] <= ord("-"))).any():
         return None
-    # Only digits, '-', spaces and tabs, and each '-' after a separator or
-    # the start (index -1 reads the pad) and before a digit.
-    chars = np.frombuffer(raw + b" ", np.uint8)
-    minus = np.flatnonzero(chars == ord("-"))
-    after, before = chars[minus + 1], chars[minus - 1]
-    if (raw.translate(None, b"0123456789- \t") or ((after < ord("0")) | (after > ord("9"))).any()
-            or ((before != ord(" ")) & (before != ord("\t"))).any()):
+    mark = chars == ord("\n")
+    mark[:-1] |= ~sep[:-1] & sep[1:]  # and the last character of each token
+    breaks = chars[np.flatnonzero(mark)] == ord("\n")  # per mark, in text order
+    # Checked first: numpy 1.x warns on unread characters and keeps the rest,
+    # and reads a blank text as one 0.  Saturates, never wraps: keep int64.
+    vals = np.zeros(0, np.int64) if breaks.all() else np.fromstring(raw, np.int64, sep=" ")
+    del raw, chars, sep, minus, mark  # the byte-level arrays, freed early
+    # A token followed by a line break ends its line; exactly those are 0.
+    zero = vals == 0
+    if np.count_nonzero(zero) != m or (zero != breaks[1:][~breaks[:-1]]).any():
         return None
-    vals = np.fromstring(raw, dtype=np.int64, sep=" ")  # saturates, never wraps
-    breaks, zero = np.flatnonzero(vals == _BREAK), vals == 0
-    # Each line's last token, before its break or the end, is its only 0.
-    if (breaks.size != len(lines) - 1 or np.count_nonzero(zero) != len(lines)
-            or not zero[np.append(breaks, vals.size) - 1].all()):
-        return None
-    lit = ~zero
-    lit[breaks] = False
-    line, vals = np.cumsum(zero)[lit], vals[lit]
+    line = np.repeat(np.arange(m, dtype=np.int64), np.diff(np.flatnonzero(zero), prepend=-1) - 1)
+    vals = vals[~zero]
     if vals.size and (vals.max() > n or vals.min() < -n):
         return None
     # Sorted (line, index, sign) keys: repeats collapse, an index's signs meet.
     shift = n.bit_length() + 1
     key = np.sort(line << shift | np.abs(vals) << 1 | (vals > 0))
     key = key[np.diff(key, prepend=-1) != 0]
+    del line, vals  # replaced from the keys below
     line, var, head = key >> shift, (key >> 1) & ((1 << shift - 1) - 1), (key & 1).astype(bool)
     if (np.diff(key >> 1) == 0).any() or (np.diff(line[head]) == 0).any():
         return None  # an index with both signs, or two positive literals
-    heads = np.zeros(len(lines), np.int32)
+    heads = np.zeros(m, np.int32)
     heads[line[head]] = var[head]
-    sizes = np.bincount(line[~head], minlength=len(lines))
+    sizes = np.bincount(line[~head], minlength=m)
     return FlatClauses(heads, _offsets(sizes), var[~head].astype(np.int32))
 
 
+def _mix(x: np.ndarray) -> np.ndarray:
+    """Each ``uint64`` of ``x`` through the splitmix64 finaliser."""
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ x >> np.uint64(31)
+
+
 def _drop_duplicates(flat: FlatClauses) -> tuple[FlatClauses, list[int]]:
-    """Keep the first of equal clauses, keyed by the bytes of the head and
-    the ascending body; also returns the ids dropped."""
+    """Keep the first of equal clauses; also returns the ids dropped.  A clause
+    hashes to the wrapping sum of its mixed body indices and mixed head and
+    size; only clauses whose hash repeats are compared, by head and body bytes."""
     heads, offsets, body = flat
-    raw = np.insert(body, offsets[:-1], heads).tobytes()
-    cuts = (4 * (offsets + np.arange(len(offsets)))).tolist()
-    keys = [raw[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # key -> first id
-    if len(first) == len(keys):
-        return flat, []
-    keep = np.zeros(len(keys), bool)
-    keep[list(first.values())] = True
+    sums = np.zeros(body.size + 1, np.uint64)
+    np.cumsum(_mix(body.astype(np.uint64)), out=sums[1:])
     sizes = np.diff(offsets)
+    key = heads.astype(np.uint64) << np.uint64(32) | sizes.astype(np.uint64) | np.uint64(1 << 63)
+    hashes = _mix(key) + sums[offsets[1:]] - sums[offsets[:-1]]
+    ranked = np.sort(hashes)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if not repeated.size:
+        return flat, []
+    keep, raw, at, first = np.ones(len(heads), bool), body.tobytes(), offsets.tolist(), {}
+    for k in np.flatnonzero(np.isin(hashes, repeated)).tolist():  # ids ascending
+        keep[k] = first.setdefault((heads[k], raw[4 * at[k]:4 * at[k + 1]]), k) == k
     return (FlatClauses(heads[keep], _offsets(sizes[keep]), body[np.repeat(keep, sizes)]),
             np.flatnonzero(~keep).tolist())
 
@@ -660,25 +682,28 @@ def parse_horn_cnf(text: str | bytes) -> HornTheory:
     """Parse the ``p hcnf`` format into a validated :class:`HornTheory`.
 
     Duplicate clauses are dropped with a warning; clause order is file order.
-    The clause lines are converted in one numpy pass and checked with array
-    operations into the theory's ``flat`` arrays; no :class:`Clause` is
-    built until something reads ``clauses``.  The lines are walked one by
-    one again only to name a bad line or a duplicate.
+    Past the header, the text is read in one numpy pass over its bytes and
+    checked with array operations into the theory's ``flat`` arrays; no
+    :class:`Clause` is built until something reads ``clauses``.  The lines
+    are walked one by one only to name a bad line or a duplicate.
     """
-    walk = _lines(text)
-    lineno, header = next(walk, (0, None))
-    if header is None:
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        header = line[1].strip()
+        if header and not header.startswith("c"):
+            break
+    else:
         raise ParseError("missing 'p hcnf' header")
     n, m = _parse_header(header, lineno, "hcnf", FORMULA_MAX_VARS)
-    lines = [line for _, line in walk]
-    flat = _flat_clauses(n, lines) if len(lines) == m else None
+    flat = _flat_clauses(n, m, text[line.end():])
     if flat is None:
         raise _clause_line_error(n, m, list(_lines(text))[1:])
     flat, dropped = _drop_duplicates(flat)
     if dropped:
         numbered = list(_lines(text))[1:]
         for k in dropped:
-            warnings.warn(f"line {numbered[k][0]}: duplicate clause dropped: {lines[k]!r}")
+            warnings.warn(f"line {numbered[k][0]}: duplicate clause dropped: {numbered[k][1]!r}")
     return HornTheory._of_flat(n, flat)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,21 @@ def test_the_array_is_read_only_and_the_set_frozen():
     ModelSet.from_bits(5, source)
     source[0] = 1  # the caller's array is left writable and is not kept
     assert ms == ModelSet.from_bits(5, [9, 3])
+
+
+def test_from_bits_peak_memory_is_a_few_times_the_result():
+    # About 1.9M members: the reversal and the sort run in place, so the
+    # copy of the input and one reversal temporary set the peak.
+    bits = np.arange(0, 1 << 24, 9)
+    tracemalloc.start()
+    try:
+        ms = ModelSet.from_bits(24, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ms) == bits.size and peak <= 2.5 * ms.bits_array.nbytes
+    assert np.array_equal(np.sort(ms.bits_array), bits)
+    assert bits.tolist()[:3] == [0, 9, 18]  # the caller's array is left as it was
 
 
 def test_models_are_built_only_on_iteration():

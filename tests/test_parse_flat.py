@@ -9,21 +9,29 @@ blank lines, tabs, runs of spaces, CRLF line ends, repeated literals,
 duplicate and empty clauses, and every kind of malformed line; both parsers
 must agree on the clauses and their order, the duplicate warnings, and the
 error messages.  The propagation index built from a parsed theory must
-equal the one built from the same clauses given to ``HornTheory``.
+equal the one built from the same clauses given to ``HornTheory``.  Fixed
+texts cover every line break ``str.splitlines`` knows; the dedup is also
+checked with every clause hash colliding, and the parse's peak memory is
+bounded.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import pickle
+import random
 import re
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornsafe import Clause, HornTheory, ParseError, parse_horn_cnf, random_horn, serialize_horn_cnf
+from hornsafe import core
 from hornsafe.core import FORMULA_MAX_VARS
 from hornsafe.engine import HornPropagator, propagator
 
@@ -246,3 +254,79 @@ def test_comparing_hashing_or_copying_a_parsed_theory_builds_no_clauses():
         assert other == t and hash(other) == hash(t)
         assert "clauses" not in vars(other)
     assert "clauses" not in vars(t) and "clauses" not in vars(same)
+
+
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=ascii)
+def test_every_line_break_matches_the_reference(brk):
+    before = ["c the header follows comments", "", " \t", "c and blank lines"]
+    clauses = ["-1 -2 3 0\t", "4 0", "\t-2   -1 3 0", "-5\t-4 0\t\t", "0"]
+    texts = []
+    for between in ([], ["c between clauses", "", "\t"]):
+        lines = before + ["p hcnf 5 5"] + clauses[:2] + between + clauses[2:]
+        texts += [brk.join(lines), brk.join(lines) + brk]  # without and with a final break
+        for token in ("99999999999999999999", "-99999999999999999999", "1" + "0" * 40, "x1"):
+            texts.append(brk.join(lines[:-1] + [f"-1 {token} 0", lines[-1]]) + brk)
+        texts.append(brk.join(lines[:-1] + ["-1 2", lines[-1]]))  # no 0, yet 5 zeros for 5 clauses
+    texts += [t.encode("ascii") for t in texts if t.isascii()]
+    for text in texts:
+        ref, ref_error, ref_warnings = _run(reference_parse, text)
+        got, error, got_warnings = _run(parse_horn_cnf, text)
+        assert error == ref_error, text
+        if ref is not None:
+            assert got_warnings == ref_warnings and got.clauses == ref.clauses, text
+
+
+def test_clauses_whose_hashes_all_collide_still_dedup_exactly(monkeypatch):
+    mixed = []
+    monkeypatch.setattr(core, "_mix", lambda x: mixed.append(x.size) or np.zeros_like(x))
+    rng = random.Random(11)
+    for n in (1, 4, 9):
+        lines = []
+        for _ in range(60):
+            if lines and rng.random() < 0.3:
+                tokens = rng.choice(lines).split()[:-1]
+                rng.shuffle(tokens)
+                lines.append(" ".join(tokens + ["0"]))
+                continue
+            body = rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))
+            head = rng.choice([0] + [i for i in range(1, n + 1) if i not in body])
+            lines.append(" ".join([str(-i) for i in body] + ([str(head)] if head else []) + ["0"]))
+        text = "\n".join([f"p hcnf {n} {len(lines)}"] + lines) + "\n"
+        ref, _, ref_warnings = _run(reference_parse, text)
+        got, error, got_warnings = _run(parse_horn_cnf, text)
+        assert error is None and got_warnings == ref_warnings and got.clauses == ref.clauses
+        given = [Clause.from_literals(int(tok) for tok in line.split()[:-1]) for line in lines]
+        kept = [c for k, c in enumerate(given) if c not in given[:k]]
+        dropped = [k for k, c in enumerate(given) if c in given[:k]]
+        assert dropped and kept == list(ref.clauses)
+        flat, ids = core._drop_duplicates(core.FlatClauses.from_clauses(n, tuple(given)))
+        built = HornTheory(n, tuple(given))
+        assert ids == dropped and built.clauses == ref.clauses and built == got
+        assert all(map(np.array_equal, flat, got.flat))
+    assert mixed
+
+
+def test_parse_peak_memory_is_a_few_times_the_text():
+    # About 2e4 literals in 0.1 MB; the byte-level arrays are freed before
+    # the key sort, so no two passes' temporaries meet at the peak.
+    rng = np.random.default_rng(5)
+    n, m = 2000, 5000
+    rows = np.zeros((m, 5), np.int64)
+    rows[:, :3] = -rng.integers(1, n // 2 + 1, (m, 3))  # bodies and heads from disjoint halves
+    rows[:, 3] = rng.integers(n // 2 + 1, n + 1, m) * (rng.random(m) < 0.7)
+    out = io.StringIO()
+    np.savetxt(out, rows, fmt="%d", header=f"p hcnf {n} {m}", comments="")
+    text = out.getvalue().replace(" 0 0\n", " 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a few random clauses repeat
+        parse_horn_cnf(text)
+        tracemalloc.start()
+        try:
+            t = parse_horn_cnf(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert t.size > 18_000 and peak <= 12 * len(text)
