@@ -542,12 +542,15 @@ def neighborhood(v: Model, alpha: int) -> ModelSet:
 #             -?[0-9]+ and tokens are separated by spaces and tabs.
 # Model set:  header 'p models <n> <k>' followed by k rows of {0,1}^n,
 #             leftmost character = x1.
+# Both:       lines are stripped, blank and comment lines skipped; any
+#             break of str.splitlines ends a line.  Bytes are read as
+#             Latin-1, so byte b fails where the character chr(b) would.
 # ---------------------------------------------------------------------------
 
 
 def _lines(text: str | bytes) -> Iterator[tuple[int, str]]:
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = text.decode("latin-1")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -570,6 +573,25 @@ def _parse_header(line: str, lineno: int, kind: str, max_n: int) -> tuple[int, i
     return n, count
 
 
+def _header(text: str | bytes, kind: str, max_n: int) -> tuple[int, int, str]:
+    """The header's two numbers and the region, the text after its line,
+    found by a scan from the start: the rest is not split into lines."""
+    if isinstance(text, bytes):
+        text = text.decode("latin-1")
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        header = line[1].strip()
+        if header and not header.startswith("c"):
+            return (*_parse_header(header, lineno, kind, max_n), text[line.end():])
+    raise ParseError(f"missing 'p {kind}' header")
+
+
+def _kept_lines(region: str) -> bytes:
+    """The stripped lines of ``region`` that are neither blank nor comments,
+    joined by ``\\n``, as ASCII; any other character becomes ``?``."""
+    return "\n".join(line for line in map(str.strip, region.splitlines())
+                     if line and not line.startswith("c")).encode("ascii", "replace")
+
+
 _TOKEN = re.compile(r"-?[0-9]+")
 _LINE_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
 _LINE = re.compile(rf"([^{_LINE_BREAKS}]*)(?:\r\n|[{_LINE_BREAKS}]|\Z)")  # one line and its break
@@ -582,9 +604,7 @@ def _flat_clauses(n: int, m: int, region: str) -> Optional[FlatClauses]:
     clause line is malformed or there are not ``m`` of them."""
     raw = region.encode("ascii", "replace")  # any other character fails the next test
     if raw.translate(None, _CLAUSE_CHARS):
-        # Comments, other line breaks or stray characters: the stripped clause lines.
-        raw = "\n".join(line for line in map(str.strip, region.splitlines())
-                        if line and not line.startswith("c")).encode("ascii", "replace")
+        raw = _kept_lines(region)  # comments, other line breaks or stray characters
         if raw.translate(None, _CLAUSE_CHARS):
             return None
     # Only digits, '-', and spaces, tabs and '\n' (the pad: every line ends in
@@ -687,16 +707,8 @@ def parse_horn_cnf(text: str | bytes) -> HornTheory:
     :class:`Clause` is built until something reads ``clauses``.  The lines
     are walked one by one only to name a bad line or a duplicate.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    for lineno, line in enumerate(_LINE.finditer(text), start=1):
-        header = line[1].strip()
-        if header and not header.startswith("c"):
-            break
-    else:
-        raise ParseError("missing 'p hcnf' header")
-    n, m = _parse_header(header, lineno, "hcnf", FORMULA_MAX_VARS)
-    flat = _flat_clauses(n, m, text[line.end():])
+    n, m, region = _header(text, "hcnf", FORMULA_MAX_VARS)
+    flat = _flat_clauses(n, m, region)
     if flat is None:
         raise _clause_line_error(n, m, list(_lines(text))[1:])
     flat, dropped = _drop_duplicates(flat)
@@ -723,22 +735,22 @@ def serialize_horn_cnf(t: HornTheory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _model_rows(n: int, k: int, lines: list[str]) -> Optional[np.ndarray]:
-    """The ``k`` rows as ``uint64`` bits in file order, decoded in one pass
-    over their joined bytes; None when some row is malformed or the count
-    is off."""
-    if len(lines) != k or k and set(map(len, lines)) != {n}:
+def _model_bits(n: int, k: int, raw: bytes) -> Optional[np.ndarray]:
+    """``raw`` as ``k`` rows of ``n`` ASCII 0/1 characters, each ending in
+    ``\\n`` (the last one's optional), decoded to ``uint64`` bits in file
+    order in one pass over the bytes; None when it is anything else."""
+    if len(raw) == k * (n + 1) - 1:
+        raw += b"\n"
+    if len(raw) != k * (n + 1):
         return None
-    try:
-        raw = "".join(lines).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    digits = np.frombuffer(raw, np.uint8).reshape(k, n) - np.uint8(ord("0"))
-    if (digits > 1).any():
+    rows, width = np.frombuffer(raw, np.uint8).reshape(k, n + 1), (n + 7) // 8
+    digits = np.zeros((k, 8 * width), np.uint8)  # whole bytes per row: one flat packbits
+    np.subtract(rows[:, :n], np.uint8(ord("0")), out=digits[:, :n])
+    if (rows[:, n] != ord("\n")).any() or digits.max(initial=0) > 1:
         return None
     words = np.zeros((k, 8), np.uint8)
-    words[:, :(n + 7) // 8] = np.packbits(digits, axis=1, bitorder="little")
-    return words.view("<u8").reshape(k).astype(np.uint64)
+    words[:, :width] = np.packbits(digits, bitorder="little").reshape(k, width)
+    return words.view("<u8").reshape(k).astype(np.uint64, copy=False)
 
 
 def _check_model_rows(n: int, k: int, numbered: list[tuple[int, str]]) -> None:
@@ -763,20 +775,21 @@ def _check_model_rows(n: int, k: int, numbered: list[tuple[int, str]]) -> None:
 def parse_model_set(text: str | bytes) -> ModelSet:
     """Parse the ``p models`` format into a canonical :class:`ModelSet`.
 
-    Duplicate rows are dropped with a warning.  The rows are decoded and
-    checked in one numpy pass; they are walked one by one only to name a
-    bad row or a duplicate.
+    Duplicate rows are dropped with a warning.  Past the header, a region
+    of plain rows is decoded as its bytes stand in one numpy pass; any other
+    region (comments, blank lines, padding, other line breaks) is first cut
+    to its kept lines once, then takes the same pass.  The lines are walked
+    one by one only to name a bad row or a duplicate.
     """
-    walk = _lines(text)
-    lineno, header = next(walk, (0, None))
-    if header is None:
-        raise ParseError("missing 'p models' header")
-    n, k = _parse_header(header, lineno, "models", MAX_VARS)
-    numbered = list(walk)
-    rows = _model_rows(n, k, [line for _, line in numbered])
+    n, k, region = _header(text, "models", MAX_VARS)
+    rows = _model_bits(n, k, region.encode("ascii", "replace"))  # other characters fail it
+    if rows is None:
+        rows = _model_bits(n, k, _kept_lines(region))
     arr = None if rows is None else _canonical(rows)
     if arr is None or arr.size < k:
-        _check_model_rows(n, k, numbered)
+        _check_model_rows(n, k, list(_lines(text))[1:])
+    if arr is None:
+        raise RuntimeError("the row pass rejected rows that the rescan accepts")
     return ModelSet._of_array(n, arr)
 
 

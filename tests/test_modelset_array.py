@@ -6,6 +6,9 @@ a set built one :class:`Model` at a time and sorted by ``to01``.  The
 ``.models`` parser decodes every row in one numpy pass; it must agree with
 the line-by-line reference below on the set, the duplicate warnings and
 the error messages, and its output must serialise back byte for byte.
+Fixed texts cover every line break ``str.splitlines`` knows, comments,
+blank lines, padded rows and ``bytes`` input (read as Latin-1); the
+parse's peak memory is bounded.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornsafe import Model, ModelSet, ParseError, parse_model_set, serialize_model_set
+from hornsafe import Model, ModelSet, ParseError, core, parse_model_set, serialize_model_set
 
 WIDTHS = [1, 7, 8, 9, 32, 33, 63, 64]
 
@@ -259,3 +262,62 @@ def test_canonical_text_round_trips_byte_for_byte():
         text = serialize_model_set(ms)
         again = parse_model_set(text)
         assert again == ms and serialize_model_set(again) == text
+
+
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=ascii)
+def test_every_line_break_matches_the_reference(brk):
+    before = ["c the header follows comments", "", " \t", "c and blank lines"]
+    between = ["c between rows", "", "\t"]
+    texts = []
+    for rows in (["0110", "1011", "0000", "1111"],
+                 ["0110", " 1011\t", "\t0000  ", "1111"],  # padded rows
+                 ["0110", "1011", "0000", "0110", "1111"]):  # a duplicate
+        header = f"p models 4 {len(rows)}"
+        for lines in ([header] + rows, before + [header] + rows[:2] + between + rows[2:]):
+            texts += [brk.join(lines), brk.join(lines) + brk]  # without and with a final break
+            for bad in ("111", "11110", "01x1", "01 1", "0\xff11", "01\xe91"):
+                texts += [brk.join(lines[:-1] + [bad]) + end for end in ("", brk)]
+            texts.append(brk.join(lines + ["0001"]) + brk)  # a row too many
+            texts.append(brk.join(lines[:-1]))  # a row too few
+    for text in texts:
+        want = _outcome(_reference_parse, text)
+        assert _outcome(parse_model_set, text) == want, ascii(text)
+        if max(map(ord, text)) < 256:  # bytes are read as Latin-1
+            assert _outcome(parse_model_set, text.encode("latin-1")) == want, ascii(text)
+
+
+def test_non_ascii_bytes_raise_the_error_of_the_same_text():
+    with pytest.raises(ParseError) as err:
+        parse_model_set(b"p models 2 1\n\xff1\n")
+    assert str(err.value) == "line 2: row contains characters outside 0/1: '\xff1'"
+    for text in ("c caf\xe9\np models 2 1\n01\n", "p models 2 1\n01\xa0\n"):
+        assert _outcome(parse_model_set, text.encode("latin-1")) == _outcome(_reference_parse, text)
+
+
+def test_a_rejected_row_pass_that_the_rescan_accepts_raises(monkeypatch):
+    monkeypatch.setattr(core, "_check_model_rows", lambda n, k, numbered: None)
+    for text in ("p models 2 1\n0x\n", "p models 2 2\n01\n", "p models 2 1\n011\n"):
+        with pytest.raises(RuntimeError):
+            parse_model_set(text)
+    assert parse_model_set("p models 2 1\n01\n") == ModelSet.from_bits(2, [2])
+
+
+def test_parse_peak_memory_is_a_few_times_the_text():
+    # About 0.2 MB of plain rows, decoded as their bytes stand: no per-row
+    # object, and the byte matrix is about the size of the text.
+    rng = np.random.default_rng(5)
+    k, n = 5000, 40
+    rows = np.full((k, n + 1), ord("\n"), np.uint8)
+    rows[:, :n] = rng.integers(0, 2, (k, n), dtype=np.uint8) + np.uint8(ord("0"))
+    text = f"p models {n} {k}\n" + rows.tobytes().decode("ascii")
+    parse_model_set(text)
+    tracemalloc.start()
+    try:
+        ms = parse_model_set(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ms) == k and peak <= 4 * len(text)

@@ -330,3 +330,14 @@ def test_parse_peak_memory_is_a_few_times_the_text():
         finally:
             tracemalloc.stop()
     assert t.size > 18_000 and peak <= 12 * len(text)
+
+
+def test_non_ascii_bytes_raise_the_error_of_the_same_text():
+    with pytest.raises(ParseError) as err:
+        parse_horn_cnf(b"p hcnf 2 1\n1 \xff 0\n")
+    assert str(err.value) == "line 2: non-integer clause token in '1 \xff 0'"
+    for text in ("c caf\xe9\np hcnf 2 1\n-1 2 0\n", "p hcnf 2 1\n-1 2 0\xa0\n", "p hcnf 2 1\n-1 \xb2 0\n"):
+        ref, ref_error, ref_warnings = _run(reference_parse, text)
+        got, error, got_warnings = _run(parse_horn_cnf, text.encode("latin-1"))
+        assert (error, got_warnings) == (ref_error, ref_warnings)
+        assert ref is None or got.clauses == ref.clauses
