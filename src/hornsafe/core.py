@@ -51,13 +51,13 @@ def index_mask(indices: Iterable[int]) -> int:
     so up to 64 indices (any set when n <= 64) are ORed in, O(n) words in
     all, and more are set in a byte row that numpy packs in one pass."""
     idx = list(indices)
+    if idx and min(idx) < 1:
+        raise ValueError(f"variable index must be positive, got {min(idx)}")
     if len(idx) <= 64:
         m = 0
         for i in idx:
             m |= 1 << (i - 1)
         return m
-    if min(idx) < 1:
-        raise ValueError(f"variable index must be positive, got {min(idx)}")
     row = np.zeros(max(idx), np.uint8)
     row[np.array(idx) - 1] = 1
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
@@ -466,8 +466,11 @@ class Decision:
     set: first its query-independent base derivation without the variables
     of N(c), then the query's own derivation, cut where YES fired; on NO
     they are exactly the witness's true variables outside N(c).  The
-    charset interior scan records the intermediate non-model vectors it
-    found; the envelope routes may record the model behind a NO.
+    charset interior scan records, per restart, its v* when that is not a
+    model, else every non-model of the first block of 128 alpha-ball
+    vectors that holds one, in flip order; the trace ends at the vector
+    that answered YES.  The envelope routes may record the model behind a
+    NO.
     """
 
     entailed: bool

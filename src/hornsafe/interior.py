@@ -18,7 +18,8 @@ but deduction against it is not:
   minimal falsifying vector in fixed numpy chunks of vectors, in
   O(n^(alpha+2) |charset|): past the first chunk, a vector is first tested
   against at most n witness members, which prove most vectors models, and
-  only the rest against the whole charset.
+  only the rest against the whole charset; each restart uses every
+  non-model of the block of vectors where the scan stopped.
 """
 
 from __future__ import annotations
@@ -270,9 +271,10 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     return Decision(False, witness=Model(t.n, witness), trace=tuple(trace))
 
 
-#: An alpha-ball scan tests _ROWS vectors per chunk, fewer (one at least) where
-#: rows x members would pass _CHUNK_WORDS words.  At n = 60 and about 600
-#: members, 256-row chunks ran no faster than 128 and held more memory.
+#: An alpha-ball scan returns the non-models of a block of _ROWS vectors and
+#: tests it in chunks of _ROWS vectors, fewer (one at least) where rows x
+#: members would pass _CHUNK_WORDS words.  At n = 60 and about 600 members,
+#: 256-row chunks ran no faster than 128 and held more memory.
 _ROWS, _CHUNK_WORDS = 128, 1 << 17
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -332,49 +334,57 @@ class _BallScan:
         order = np.argsort((n + 1) * zeros[inside].sum(axis=0) + self.zero_counts, kind="stable")
         return arr[order[zeros[:, order].argmax(axis=1)]]
 
-    def first_non_model(self, vstar: int) -> Optional[tuple[int, Optional[int]]]:
-        """The first vector v = ``vstar ^ f`` past ``vstar`` itself, f in
-        flip order, that is not a model, with the AND of the members above v
-        (None when there are none); None when every one is a model.
+    def first_non_models(self, vstar: int) -> list[tuple[int, Optional[int]]]:
+        """Every vector v = ``vstar ^ f`` that is not a model, f in flip
+        order, in the first block of _ROWS vectors past ``vstar`` itself
+        that holds one, each with the AND of the members above v (None when
+        there are none); empty when every vector of the ball is a model.
 
-        The first chunk is tested against every member.  Later chunks are
-        first tested against the witnesses of ``vstar``: a row whose
-        witnesses above it AND to exactly the row is a model.  The other
-        rows get the exact test, against the members with a still-set bit
-        off, or against every member when some row has no witness above it.
+        A block is tested in chunks of at most _ROWS rows and _CHUNK_WORDS
+        words (one row at least); the blocks, not the chunks, decide what
+        is returned.  The first chunk is tested against every member.
+        Later chunks are first tested against the witnesses of ``vstar``: a
+        row whose witnesses above it AND to exactly the row is a model.  The
+        other rows get the exact test, against the members with a still-set
+        bit off, or against every member when some row has no witness above
+        it.
         """
         arr, vs = self.arr, np.uint64(vstar)
         rows = max(1, min(_ROWS, _CHUNK_WORDS // arr.size))
         wit = None
-        for lo in range(1, self.size, rows):
-            if self.flips is None:
-                self.flips = _ball_flips(self.n, self.alpha, self.size)
-            chunk = self.flips[lo:lo + rows] ^ vs
-            if lo == 1:
-                w, above = _and_above_rows(arr, chunk)
-            else:
-                if wit is None:
-                    wit = self.witnesses(vstar)
-                w, above = _and_above_rows(wit, chunk)
-                unsure = (w != chunk) | ~above
-                if not unsure.any():
-                    continue
-                rest = chunk[unsure]
-                if above[unsure].all():
-                    # Here w is the AND of the row's witnesses.  A member
-                    # >= v with every bit of w \ v on contains w, so only
-                    # the others can clear those bits.
-                    need = np.bitwise_or.reduce(w[unsure] & ~rest)
-                    w[unsure] &= _and_above_rows(arr[(arr & need) != need], rest)[0]
+        found: list[tuple[int, int, bool]] = []
+        for block in range(1, self.size, _ROWS):
+            end = min(block + _ROWS, self.size)
+            for lo in range(block, end, rows):
+                if self.flips is None:
+                    self.flips = _ball_flips(self.n, self.alpha, self.size)
+                chunk = self.flips[lo:min(lo + rows, end)] ^ vs
+                if lo == 1:
+                    w, above = _and_above_rows(arr, chunk)
                 else:
-                    w[unsure], above[unsure] = _and_above_rows(arr, rest)
-            # At n = 64 the all-ones vector with no member above it would meet
-            # the fill value, hence the explicit test.
-            bad = (w != chunk) | ~above
-            if bad.any():
-                i = bad.argmax()
-                return int(chunk[i]), int(w[i]) if above[i] else None
-        return None
+                    if wit is None:
+                        wit = self.witnesses(vstar)
+                    w, above = _and_above_rows(wit, chunk)
+                    unsure = (w != chunk) | ~above
+                    if not unsure.any():
+                        continue
+                    rest = chunk[unsure]
+                    if above[unsure].all():
+                        # Here w is the AND of the row's witnesses.  A member
+                        # >= v with every bit of w \ v on contains w, so only
+                        # the others can clear those bits.
+                        need = np.bitwise_or.reduce(w[unsure] & ~rest)
+                        w[unsure] &= _and_above_rows(arr[(arr & need) != need], rest)[0]
+                    else:
+                        w[unsure], above[unsure] = _and_above_rows(arr, rest)
+                # At n = 64 the all-ones vector with no member above it would
+                # meet the fill value, hence the explicit test.
+                bad = (w != chunk) | ~above
+                if bad.any():
+                    found += zip(chunk[bad].tolist(), w[bad].tolist(), above[bad].tolist())
+            if found:
+                break
+        return [(v, x if a else None) for v, x, a in found]
 
 
 def deduce_interior_charset(
@@ -388,63 +398,77 @@ def deduce_interior_charset(
     ``charset`` is read as the characteristic set of a Horn theory (any
     AND-spanning subset of its models works; empty means the inconsistent
     theory).  The scan builds the minimal vector v* falsifying the current
-    query, walks its alpha-neighborhood in deterministic order (flip sets by
-    ascending size, then lexicographic), and for the first vector v that is
-    not a model compares the minimal model above v against v:
+    query (N true, initially N(c)).  When v* is not a model it is the
+    restart's only vector v.  Otherwise the restart walks the alpha-ball of
+    v* in deterministic order (flip sets by ascending size, then
+    lexicographic), cut into blocks of 128 vectors past v*, and takes every
+    non-model v of the first block that holds one, in flip order.  Each v
+    is compared with the minimal model above it:
 
     * no member above v at all: every superset literal is vacuously implied,
       which we encode as J = all indices;
     * otherwise J = ON(min model above v) \\ ON(v), the indices the base
       theory forces on top of v.
 
-    J meeting N or P(c) answers YES; otherwise N grows by J and the scan
-    restarts.  A fully-verified neighborhood answers NO with v* as witness.
-    The vectors v found along the way are recorded in the trace; together
-    they certify the YES answer.  The per-restart neighborhood size is
-    guarded by ``cap``.
+    The first J meeting P(c) or the restart's N answers YES; otherwise N
+    grows by the union of the restart's J's and the scan restarts.  A
+    fully-verified neighborhood answers NO with v* as witness.  The vectors
+    v taken along the way, up to the one that answered YES, are recorded in
+    the trace; together they certify the YES answer.  The per-restart
+    neighborhood size is guarded by ``cap``.
 
     Cost.  v is a model iff some member is above it and the AND of the
     members above it is v (Kautz, Kearns & Selman, 1993).  Each restart
     tests v* with one pass over the members.  Only when v* is a model is
-    the rest of the ball, B = sum_{i <= alpha} C(n, i) vectors, scanned in
-    chunks of 128 vectors: each chunk costs a few numpy passes over chunk x
-    members words, with no Python work per vector.  The first chunk is
-    tested against every member.  Later chunks are first tested against the
-    witnesses of v*: for each variable j, the member with j off that has the
-    fewest zeros inside v*, then the fewest zeros overall.  A vector whose
-    witnesses above it AND to exactly it is a model, since the AND of all
-    members above it lies between it and the AND of any nonempty subset of
-    them.  Only the other vectors get the exact test.  With w0 the AND of
-    the witnesses above v, a member above v with every bit of w0 \\ v on
+    the rest of the ball, B = sum_{i <= alpha} C(n, i) vectors, scanned a
+    block at a time, each block in chunks of at most 128 vectors: each
+    chunk costs a few numpy passes over chunk x members words, with no
+    Python work per vector.  The first chunk is tested against every
+    member.  Later chunks are first tested against the witnesses of v*:
+    for each variable j, the member with j off that has the fewest zeros
+    inside v*, then the fewest zeros overall.  A vector whose witnesses
+    above it AND to exactly it is a model, since the AND of all members
+    above it lies between it and the AND of any nonempty subset of them.
+    Only the other vectors get the exact test.  With w0 the AND of the
+    witnesses above v, a member above v with every bit of w0 \\ v on
     contains w0, so w = w0 AND the members above v with such a bit off; a
     chunk keeps the members with a bit of the union of these sets off, or
     all members when some vector has no witness above it.
-    Certified vectors are models, so the first non-model in flip order and
-    its w are those of the full test.  A restart thus costs O(|charset|)
-    when v* is not a model and O(B |charset|) words at worst, evaluating at
-    most 127 vectors past its culprit; at most n + 1 balls are scanned.  At
-    n = 60 and about 600 members, the witnesses are about 60 members and
-    prove about 70 % of the later vectors models.
+    Certified vectors are models, so the non-models of a block and their
+    w are those of the full test.  A restart thus costs O(|charset|) when
+    v* is not a model and O(B |charset|) words at worst, testing at most
+    127 vectors past its first non-model; at most n + 1 balls are scanned.
+    At n = 60 and about 600 members, the witnesses are about 60 members and
+    prove about 70 % of the later vectors models; an alpha = 2 NO answer
+    makes about 10 restarts, each but the last taking 2.3 to 2.6 non-models
+    on average.
     Memory: a chunk has at most 128 rows and at most max(1, 2^17 //
     |charset|), so each of its temporaries holds max(2^17, |charset|) words
-    at most (1 MiB below 2^17 members).  The ball's flip masks, B words
-    (about 3 B while building, in O(B) time), and the members' zero bits,
+    at most (1 MiB below 2^17 members); which chunks a block is cut into
+    changes no answer and no trace.  The ball's flip masks, B words (about
+    3 B while building, in O(B) time), and the members' zero bits,
     n |charset| bytes, are built once per query, on first need; a query
     whose every v* is not a model builds neither.  The witnesses take n
     words per restart.
 
     Why this is right.  Invariant: every interior model u falsifying c
-    contains N; it holds for N = N(c).  At a restart v = (v* \\ D) | U with
-    D inside N, U outside N and |D| + |U| <= alpha.  Then u' = (u \\ D) | U
-    is within alpha of u, hence a model, and u' >= v.  With no model above
-    v no such u exists (YES).  Otherwise u' >= w, the minimal model above
-    v, so J = w \\ v lies in u'.  If J meets N it meets D, which u' has
-    off: no such u (YES).  Else J misses D | U, where u' agrees with u, so
-    u >= J: J meeting P(c) contradicts u falsifying c (YES), and otherwise
-    the invariant holds for N | J.  J is nonempty (v is not a model), so N
-    grows strictly: at most n restarts.  NO: the whole ball of v* is
-    models, so v* is an interior model; it contains N(c) and misses P(c),
-    because N never meets P(c).
+    contains N; it holds for N = N(c).  Each v of a restart is
+    v = (v* \\ D) | U with D inside N, U outside N and |D| + |U| <= alpha.
+    Then u' = (u \\ D) | U is within alpha of u, hence a model, and
+    u' >= v.  With no model above v no such u exists (YES).  Otherwise
+    u' >= w, the minimal model above v, so J = w \\ v lies in u'.  If J
+    meets N it meets D, which u' has off: no such u (YES).  Else J misses
+    D | U, where u' agrees with u, so u >= J: J meeting P(c) contradicts u
+    falsifying c (YES).  The argument uses only the restart's N, so it
+    holds for each v of the restart alone: the first J that meets N or
+    P(c) answers YES, and otherwise every u contains each J, so the
+    invariant holds for N grown by their union.  YES is tested against the
+    restart's N only: the J's before it lie in u' too, so meeting them
+    proves nothing.  J is nonempty (v is not a model), so N grows strictly: at
+    most n restarts.  NO: the whole ball of v* is models, so v* is an
+    interior model; it contains N(c) and misses P(c), because N never
+    meets P(c).  By the invariant it is the least interior model
+    falsifying c, whichever non-models the restarts took.
     """
     n = charset.n
     _check_query(c, alpha, n)
@@ -460,16 +484,17 @@ def deduce_interior_charset(
     vstar = c.neg_mask  # exactly N true
     trace: list[Model] = []
     for _ in range(n + 1):
-        v, w = vstar, _and_above(arr, vstar)
-        if w == vstar:
-            found = ball.first_non_model(vstar)
-            if found is None:
-                return Decision(False, witness=Model(n, vstar), trace=tuple(trace))
-            v, w = found
-        trace.append(Model(n, v))
-        # Nothing above v: all superset literals implied.
-        jmask = (1 << n) - 1 if w is None else w & ~v
-        if jmask & (vstar | c.pos_mask):
-            return Decision(True, trace=tuple(trace))
-        vstar |= jmask
+        w = _and_above(arr, vstar)
+        found = ball.first_non_models(vstar) if w == vstar else [(vstar, w)]
+        if not found:
+            return Decision(False, witness=Model(n, vstar), trace=tuple(trace))
+        grown = vstar
+        for v, w in found:
+            trace.append(Model(n, v))
+            # Nothing above v: all superset literals implied.
+            jmask = (1 << n) - 1 if w is None else w & ~v
+            if jmask & (vstar | c.pos_mask):
+                return Decision(True, trace=tuple(trace))
+            grown |= jmask
+        vstar = grown
     raise RuntimeError("charset interior scan exceeded its n-restart bound")

@@ -1,16 +1,20 @@
 """The chunked alpha-ball scan of ``deduce_interior_charset`` against a
 per-vector reference.
 
-The reference below is the scan as it ran before the ball was evaluated in
-numpy chunks: one flip mask at a time from ``iter_flip_masks``, one member
-pass per vector.  Both must give equal whole ``Decision``s (answer, witness
-and trace) on random charsets, also with chunks of 1 to 3 rows so that
-culprits fall on chunk boundaries, and at n = 64, where the all-ones vector
-meets the fill value of the chunked AND.  Charsets of products of small
-theories, at n = 30 to 64, send many chunks through the witness stage and
-both of its exact paths.  The scan's numpy-built flip masks must equal
-``iter_flip_masks``, which the scan does not use, and a query whose v* is
-not a model must not build the ball at all.
+The reference below is the scan one vector at a time: one flip mask at a
+time from ``iter_flip_masks``, one member pass per vector, and per restart
+the non-models of the first block of flip vectors that holds one.  Both
+must give equal whole ``Decision``s (answer, witness and trace) on random
+charsets, also with blocks and chunks of 1 to 3 rows so that non-models
+fall on their boundaries, with blocks cut into smaller chunks, and at
+n = 64, where the all-ones vector meets the fill value of the chunked AND.
+Charsets of products of small theories, at n = 30 to 64, send many chunks
+through the witness stage and both of its exact paths.  Answers and
+witnesses must be those of the one-vector block, which records only the
+first non-model of each ball, and that block must scan more balls.  The
+scan's numpy-built flip masks must equal ``iter_flip_masks``, which the
+scan does not use, and a query whose v* is not a model must not build the
+ball at all.
 """
 
 from __future__ import annotations
@@ -25,9 +29,15 @@ import pytest
 from hornsafe import Clause, EnumerationLimitError, Model, ModelSet, deduce_interior_charset
 from hornsafe import interior
 from hornsafe.core import Decision, index_mask, iter_flip_masks, mask_indices
+from hornsafe.engine import characteristic_set, intersection_closure
 
 
-def _reference(charset: ModelSet, c: Clause, alpha: int, cap: int = interior.NEIGHBORHOOD_CAP):
+def _reference(charset: ModelSet, c: Clause, alpha: int, cap: int = interior.NEIGHBORHOOD_CAP,
+               block: int | None = None):
+    """The scan one vector at a time.  A restart whose v* is a model takes
+    every non-model of the first block of ``block`` flip vectors past v*
+    that holds one (the scan's ``_ROWS`` at call time when None)."""
+    block = interior._ROWS if block is None else block
     n = charset.n
     if not len(charset):
         return Decision(True)
@@ -41,8 +51,10 @@ def _reference(charset: ModelSet, c: Clause, alpha: int, cap: int = interior.NEI
     trace = []
     while True:
         vstar = index_mask(nset)
-        culprit = None
-        for f in iter_flip_masks(n, alpha):
+        found = []
+        for k, f in enumerate(iter_flip_masks(n, alpha)):
+            if found and (k == 1 or (k - 1) % block == 0):
+                break
             v = vstar ^ f
             vb = np.uint64(v)
             above = arr[arr & vb == vb]
@@ -50,17 +62,16 @@ def _reference(charset: ModelSet, c: Clause, alpha: int, cap: int = interior.NEI
                 w = int(np.bitwise_and.reduce(above))
                 if w == v:
                     continue
-                jmask = w & ~v
+                found.append((v, w & ~v))
             else:
-                jmask = full
-            culprit = v
-            trace.append(Model(n, v))
-            break
-        if culprit is None:
+                found.append((v, full))
+        if not found:
             return Decision(False, witness=Model(n, vstar), trace=tuple(trace))
-        if jmask & vstar or jmask & c.pos_mask:
-            return Decision(True, trace=tuple(trace))
-        nset |= mask_indices(jmask)
+        for v, jmask in found:
+            trace.append(Model(n, v))
+            if jmask & vstar or jmask & c.pos_mask:
+                return Decision(True, trace=tuple(trace))
+            nset |= mask_indices(jmask)
 
 
 def _random_case(rng: random.Random, n: int) -> tuple[ModelSet, Clause]:
@@ -193,12 +204,13 @@ def test_ball_is_not_built_when_vstar_is_not_a_model(monkeypatch):
     assert got.entailed and got.trace == (Model(n, 1),)
 
 
-def _block_charset(rng: random.Random, n: int) -> ModelSet:
+def _block_charset(rng: random.Random, n: int, body: int = 2, negative: bool = True) -> ModelSet:
     """The characteristic members of a product of small Horn theories, one
-    per block of eight to ten variables: a few definite rules each, and two
-    negative clauses in the first block, so that it has several maximal
-    models.  Each member is a non-maximal meet-irreducible model of one
-    block, or a maximal one, with a maximal model of every other block."""
+    per block of eight to ten variables: a few definite rules each with
+    ``body`` body literals, and two negative clauses in the first block
+    when ``negative``, so that it has several maximal models.  Each member
+    is a non-maximal meet-irreducible model of one block, or a maximal one,
+    with a maximal model of every other block."""
     blocks = n // 8
     cuts = [n * b // blocks for b in range(blocks + 1)]
     maximal, inner = [], []
@@ -206,11 +218,11 @@ def _block_charset(rng: random.Random, n: int) -> ModelSet:
         cube = np.arange(1 << (hi - lo), dtype=np.uint64)
         ok = np.ones(cube.size, bool)
         for k in range(rng.randint(2, 5) + 2 * (b == 0)):
-            *body, head = rng.sample(range(hi - lo), 3)
-            negative = b == 0 and k < 2
-            mask = np.uint64(index_mask(i + 1 for i in body + [head] * negative))
+            *tail, head = rng.sample(range(hi - lo), body + 1)
+            neg = negative and b == 0 and k < 2
+            mask = np.uint64(index_mask(i + 1 for i in tail + [head] * neg))
             fires = (cube & mask) == mask
-            ok &= ~fires if negative else ~fires | ((cube >> np.uint64(head)) & np.uint64(1) == 1)
+            ok &= ~fires if neg else ~fires | ((cube >> np.uint64(head)) & np.uint64(1) == 1)
         models = cube[ok]
         col = models[:, None]
         above = ((models & col) == col) & (models != col)
@@ -263,3 +275,75 @@ def test_block_product_charsets_match_the_reference(monkeypatch, rows):
                 got = deduce_interior_charset(charset, c, alpha)
                 assert got == _reference(charset, c, alpha), (n, sorted(charset.bits_set), c, alpha)
     assert seen["uncovered"] and seen["open30"], seen
+
+
+def _closed_cases(rng: random.Random, count: int):
+    """Random queries on characteristic sets and on closed model sets,
+    n <= 12, alpha <= 3."""
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        charset, c = _random_case(rng, n)
+        closed = intersection_closure(charset)
+        yield characteristic_set(closed), c, rng.randint(0, 3)
+        yield closed, c, rng.randint(0, 3)
+
+
+def test_answers_and_witnesses_are_those_of_the_one_vector_block():
+    # The block decides the trace only: each restart's non-models are
+    # sound against the same N, and the NO witness is the least interior
+    # model falsifying c.
+    rng = random.Random(23)
+    differ = 0
+    for charset, c, alpha in _closed_cases(rng, 600):
+        got = deduce_interior_charset(charset, c, alpha)
+        want = _reference(charset, c, alpha, block=1)
+        assert (got.entailed, got.witness) == (want.entailed, want.witness), \
+            (charset.n, sorted(charset.bits_set), c, alpha)
+        assert got == _reference(charset, c, alpha)
+        differ += got.trace != want.trace
+    assert differ > 20
+
+
+def test_decisions_do_not_depend_on_the_chunk_words(monkeypatch):
+    # 100 words cut a 128-vector block into chunks of 100 // |charset|
+    # rows: several for most random sets, one for the block products.
+    rng = random.Random(29)
+    cases = [_random_case(rng, rng.randint(1, 12)) + (rng.randint(0, 3),) for _ in range(300)]
+    for n in (30, 41):
+        charset = _block_charset(rng, n)
+        cases += [(charset, Clause(neg={i}), alpha) for i in (1, n // 2, n) for alpha in (1, 2)]
+    want = [deduce_interior_charset(*case) for case in cases]
+    monkeypatch.setattr(interior, "_CHUNK_WORDS", 100)
+    assert [deduce_interior_charset(*case) for case in cases] == want
+
+
+def test_block_restarts_scan_fewer_balls(monkeypatch):
+    # A block product with three body literals per rule and no negative
+    # clause has a consistent alpha = 2 interior, so single-variable
+    # queries answer NO.  A spy counts the ball scans: the 128-vector block
+    # takes the non-models of a block together, where the one-vector block
+    # scans the ball again for each.
+    scans = []
+    scan = interior._BallScan.first_non_models
+
+    def spy(self, vstar):
+        scans.append(vstar)
+        return scan(self, vstar)
+
+    monkeypatch.setattr(interior._BallScan, "first_non_models", spy)
+    charset = _block_charset(random.Random(0), 30, body=3, negative=False)
+    counts = {}
+    for rows in (128, 1):
+        monkeypatch.setattr(interior, "_ROWS", rows)
+        counts[rows] = []
+        for i in range(1, 31):
+            scans.clear()
+            got = deduce_interior_charset(charset, Clause(neg={i}), 2)
+            counts[rows].append((got.entailed, got.witness, len(scans)))
+    assert [x[:2] for x in counts[128]] == [x[:2] for x in counts[1]]
+    no = [(a[2], b[2]) for a, b in zip(counts[128], counts[1]) if not a[0]]
+    assert len(no) >= 10 and all(a <= b for a, b in no)
+    assert sum(a for a, _ in no) < sum(b for _, b in no)
+    # x11: one restart and the final ball, against two restarts.
+    entailed, _, scans128 = counts[128][10]
+    assert not entailed and (scans128, counts[1][10][2]) == (2, 3)

@@ -326,3 +326,11 @@ class TestBitPacking:
     def test_index_zero_is_rejected(self, k):
         with pytest.raises(ValueError):
             index_mask([0, *range(1, k)])
+
+    @pytest.mark.parametrize("k", [1, 64, 65, 70])
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_a_nonpositive_index_has_one_message_at_any_length(self, k, bad):
+        # Lists of up to 64 indices are ORed in a loop, longer ones packed
+        # by numpy: both check first.
+        with pytest.raises(ValueError, match=f"^variable index must be positive, got {bad}$"):
+            index_mask([*range(1, k), bad])

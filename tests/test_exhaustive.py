@@ -16,10 +16,13 @@ the flat arrays the propagation index is built from are exercised, and
 each interior-formula trace must be a derivation under the alpha-rule.
 
 The interior-charset trace is checked against the scan's rule too: each
-trace vector is the first non-model, in flip order, of the alpha-ball of
-its restart's v*, replayed from the same enumeration; once more with
-one-row chunks, so that every ball vector but v* and the first flip goes
-through the witness stage of the scan.
+restart records v* when it is not a model, and otherwise the non-models,
+in flip order, of the first block of ball vectors that holds one, cut at
+the first that answers YES; the whole trace is replayed from the same
+enumeration.  Once more with one-row chunks, which are also one-vector
+blocks: each restart then records only the first non-model of its ball,
+and every ball vector but v* and the first flip goes through the witness
+stage of the scan.  Answers and witnesses must not depend on the block.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from itertools import product
 
 import pytest
 
+import hornsafe.interior
 from hornsafe import (
     Clause,
     HornTheory,
@@ -207,13 +211,19 @@ def _flip_order(n: int) -> list[int]:
     return sorted(range(1 << n), key=lambda f: (f.bit_count(), [i for i in range(n) if f >> i & 1]))
 
 
-def _replay_interior_charset(n: int) -> int:
-    """Replays the scan's restarts: v* starts as N(c), and after each trace
-    vector v it gains J, the bits the minimal model above v adds (all bits
-    when no model is above v).  Every trace vector must be the first
-    non-model of the alpha-ball of that restart's v*, in flip order.
-    Returns the number of trace vectors."""
+def _replay_interior_charset(n: int, block: int | None = None) -> int:
+    """Replays the scan's restarts and compares the whole trace.  v* starts
+    as N(c).  A restart whose v* is not a model records v* alone; otherwise
+    it records the non-models, in flip order, of the first block of
+    ``block`` ball vectors past v* that holds one (the scan's ``_ROWS`` at
+    call time when None).  Each recorded v has J, the bits the minimal
+    model above v adds (all bits when no model is above v).  The first J
+    meeting the restart's v* or P(c) ends the trace with YES; otherwise v*
+    gains the union of the restart's J's.  NO leaves v* as the witness,
+    with its whole ball models.  Returns the number of trace vectors."""
+    block = hornsafe.interior._ROWS if block is None else block
     order = _flip_order(n)
+    full = (1 << n) - 1
     vectors = 0
     for members in _and_closed_sets(n):
         charset = ModelSet.from_bits(n, _characteristic(members))
@@ -222,21 +232,37 @@ def _replay_interior_charset(n: int) -> int:
             for c in _clauses(n):
                 d = deduce_interior_charset(charset, c, alpha)
                 vstar = sum(1 << (i - 1) for i in c.neg)
-                for v in d.trace:
-                    assert v.bits not in members
-                    assert (v.bits ^ vstar).bit_count() <= alpha
-                    assert v.bits == next(vstar ^ f for f in ball if vstar ^ f not in members)
-                    above = [u for u in members if u & v.bits == v.bits]
-                    vstar |= reduce(lambda a, b: a & b, above) & ~v.bits if above else (1 << n) - 1
-                    vectors += 1
-                if not d.entailed:
+                pos = sum(1 << (i - 1) for i in c.pos)
+                trace, yes = [], not members  # no members: YES, no trace
+                while not yes:
+                    bad = [k for k, f in enumerate(ball) if vstar ^ f not in members]
+                    if not bad:
+                        break
+                    if bad[0] == 0:
+                        bad = [0]
+                    else:
+                        bad = [k for k in bad if (k - 1) // block == (bad[0] - 1) // block]
+                    grown = vstar
+                    for k in bad:
+                        v = vstar ^ ball[k]
+                        trace.append(v)
+                        above = [u for u in members if u & v == v]
+                        j = reduce(lambda a, b: a & b, above) & ~v if above else full
+                        if j & (vstar | pos):
+                            yes = True
+                            break
+                        grown |= j
+                    vstar = grown
+                assert [v.bits for v in d.trace] == trace, (sorted(members), str(c), alpha)
+                assert d.entailed == yes
+                if not yes:
                     assert d.witness.bits == vstar
-                    assert all(vstar ^ f in members for f in ball)
+                vectors += len(trace)
     return vectors
 
 
 def test_interior_charset_trace_is_the_first_non_model_of_each_ball():
-    assert _replay_interior_charset(3) == 13_682
+    assert _replay_interior_charset(3) == 14_351
 
 
 def test_interior_charset_trace_with_one_row_chunks(monkeypatch):
@@ -248,4 +274,21 @@ def test_interior_charset_trace_with_one_row_chunks(monkeypatch):
 
 @pytest.mark.slow
 def test_interior_charset_trace_is_the_first_non_model_of_each_ball_at_n4():
-    assert _replay_interior_charset(4) == 2_291_811
+    assert _replay_interior_charset(4) == 2_549_907
+
+
+def test_interior_charset_answers_do_not_depend_on_the_block(monkeypatch):
+    # The block decides how much of the trace a restart records; the
+    # answer and the witness, the least interior model falsifying c, are
+    # those of the one-vector block on the whole n = 3 scope.
+    n = 3
+    runs = []
+    for rows in (hornsafe.interior._ROWS, 1):
+        monkeypatch.setattr("hornsafe.interior._ROWS", rows)
+        runs.append([(d.entailed, d.witness)
+                     for members in _and_closed_sets(n)
+                     for charset in [ModelSet.from_bits(n, _characteristic(members))]
+                     for alpha in range(n + 1)
+                     for c in _clauses(n)
+                     for d in [deduce_interior_charset(charset, c, alpha)]])
+    assert len(runs[0]) == 13_176 and runs[0] == runs[1]

@@ -127,8 +127,10 @@ class TestDeduceInteriorCharset:
     def test_example2_yes_with_trace(self, ex2_charset):
         d = deduce_interior_charset(ex2_charset, Clause(neg={1}), 1)
         assert d.entailed
-        # Deterministic scan order pins the examined non-models.
-        assert tuple(v.to01() for v in d.trace) == ("1000", "1110", "1001")
+        # Deterministic scan order pins the examined non-models: v* = x1 is
+        # not a model, so N gains x3; the ball of x1 x3 then holds 1110 and
+        # 1000, in one block, and the J of 1000, {x3}, meets N.
+        assert tuple(v.to01() for v in d.trace) == ("1000", "1110", "1000")
 
     def test_example2_no_with_witness(self, ex2_charset):
         d = deduce_interior_charset(ex2_charset, Clause(neg={3}), 1)
