@@ -29,12 +29,16 @@ import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 MAX_VARS = 64
 FORMULA_MAX_VARS = 1 << 20
+#: Ceiling on the vectors of one Hamming ball (:func:`neighborhood`, the
+#: interior-charset scan).
+NEIGHBORHOOD_CAP = 1 << 22
 
 
 class ParseError(ValueError):
@@ -523,16 +527,29 @@ def iter_flip_masks(n: int, alpha: int) -> Iterator[int]:
             yield m
 
 
+def _ball_size(n: int, alpha: int) -> int:
+    """Vectors within Hamming distance ``alpha`` of one vector over ``n``
+    variables: ``sum_{i <= alpha} C(n, i)``."""
+    return sum(comb(n, i) for i in range(min(alpha, n) + 1))
+
+
 def neighborhood(v: Model, alpha: int) -> ModelSet:
     """All models within Hamming distance ``alpha`` of ``v``.
 
-    ``alpha >= n`` yields the full cube; beware the combinatorial size
-    ``sum_i C(n, i)`` before calling this at large ``n``.
+    ``alpha >= n`` yields the full cube.  The size ``sum_{i <= alpha} C(n, i)``
+    is checked against :data:`NEIGHBORHOOD_CAP` (read at call time) before
+    anything is built: EnumerationLimitError above it.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if v.n > MAX_VARS:
         raise ValueError(f"neighborhood enumeration is capped at n={MAX_VARS}")
+    size = _ball_size(v.n, alpha)
+    if size > NEIGHBORHOOD_CAP:
+        raise EnumerationLimitError(
+            f"alpha={alpha} neighborhood at n={v.n} has {size} vectors, "
+            f"over the cap of {NEIGHBORHOOD_CAP}"
+        )
     return ModelSet.from_bits(v.n, (v.bits ^ f for f in iter_flip_masks(v.n, alpha)))
 
 

@@ -21,8 +21,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import (Clause, Decision, HornTheory, Model, ModelSet, _bit_rows, _check_width,
-                   _unique, index_mask)
+from .core import (Clause, Decision, EnumerationLimitError, HornTheory, Model, ModelSet, _bit_rows,
+                   _check_width, _unique, index_mask)
 
 
 class HornPropagator:
@@ -212,6 +212,10 @@ def charset_entails(charset: ModelSet, c: Clause) -> Decision:
 
 _BLOCK = 1 << 22  # elements per pairwise block (32 MB of uint64)
 
+#: Ceiling on the members :func:`intersection_closure` may produce: the model
+#: count at the CLI's n <= 24, so no set the CLI accepts reaches it.
+CLOSURE_CAP = 1 << 24
+
 
 def intersection_closure(ms: ModelSet) -> ModelSet:
     """Smallest superset of ``ms`` closed under componentwise AND.
@@ -222,8 +226,11 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     next frontier.  Every element of the closure is the AND of some k
     generators, hence is reached by round k, and each element is ANDed with
     the generators once: O(|closure| x |generators|) pairs in blocks of
-    :data:`_BLOCK`.  The result can grow to 2^n, so callers at large ``n``
-    are expected to keep their sets small.
+    :data:`_BLOCK`.  The result can grow to 2^n, so after each block the
+    closed members plus the round's distinct new products are counted
+    against :data:`CLOSURE_CAP` (read at call time), and
+    EnumerationLimitError is raised before the next block once they exceed
+    it.
     """
     if not len(ms):
         return ms
@@ -231,46 +238,69 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     closed = frontier = gens
     rows = max(1, _BLOCK // gens.size)
     while frontier.size:
-        fresh = []
+        fresh, size = [], closed.size
         for lo in range(0, frontier.size, rows):
             cand = _unique(np.bitwise_and.outer(frontier[lo:lo + rows], gens))
             fresh.append(cand[~np.isin(cand, closed, assume_unique=True)])
+            size += fresh[-1].size
+            if size > CLOSURE_CAP:
+                # Blocks may repeat a product: count the distinct ones.
+                fresh = [_unique(np.concatenate(fresh))]
+                size = closed.size + fresh[0].size
+                if size > CLOSURE_CAP:
+                    raise EnumerationLimitError(
+                        f"AND-closure reached {size} members, over the cap of {CLOSURE_CAP}"
+                    )
         frontier = _unique(np.concatenate(fresh))
         closed = np.concatenate((closed, frontier))
     return ModelSet.from_bits(ms.n, closed)
 
 
 def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
-    """The extracted members of ``ms`` and whether ``ms`` is AND-closed.
+    """The meet-irreducible members of ``ms`` (those that are not the AND of
+    the strictly greater members) and whether ``ms`` is AND-closed.
 
-    Extraction keeps member m iff m is the all-ones vector, or for some bit
-    i with m_i = 0 no other member x >= m has x_i = 0.  That is the
-    definitional rule (m is not the AND of the strictly greater members,
-    maximal members kept): the AND of the members above m differs from m
-    exactly at the bits no other member above m turns off.  Both counts are
-    float32 matrix products over the members' 0/1 bit matrices, one per row
-    block: x >= m iff no bit is on in m and off in x, and then the members
-    x >= m with x_i = 0 are counted per bit i.  Only "count == 0" and
-    "count == 1" are read, which a float sum of 0/1 products gets exactly
-    at any size.
+    Extraction visits the members level by level, highest popcount first,
+    and keeps member m iff m is the all-ones vector or the AND of the
+    members kept so far that lie above m differs from m (all-ones when
+    there are none).  Only members of higher popcount lie strictly above
+    m, so a level is tested in one vectorised step against the members
+    kept at the levels before it: ``g & m == m`` selects them and a masked
+    ``bitwise_and.reduce`` ANDs them, in row blocks of :data:`_BLOCK`
+    elements.  That is O(|M| x |kept|) word operations, no floating-point
+    matrix.
 
-    The closure check then tests every ``m & g`` for m a member and g an
-    extracted member: every member is the AND of the extracted members above
-    it (induction downward from the maximal members), so ``a & b`` is a chain
-    of such single steps starting from ``a``.  O(|M|^2 n) for the extraction
-    and O(|M| x |extracted|) for the check, both in blocks of :data:`_BLOCK`.
+    Why this keeps the meet-irreducible members, closed set or not.  By
+    induction from the top level down, every member is the AND of the kept
+    members above it (itself included): a kept member is its own, and a
+    member not kept equals the AND of the kept members strictly above it.
+    So each member x strictly above m is the AND of kept members strictly
+    above m, and the AND of all members strictly above m equals the AND of
+    the kept ones: the level test is the definitional one.
+
+    The closure check then tests every ``m & g`` for m a member and g kept:
+    since every b is the AND of kept members, ``a & b`` is a chain of such
+    single steps starting from ``a``, so the set is closed iff each step
+    stays in it.  O(|M| x |kept|) pairs, in blocks of :data:`_BLOCK`.
     """
     arr = ms.bits_array
     if not arr.size:
         return arr, True
-    ones = _bit_rows(arr, ms.n).astype(np.float32)
-    zeros = 1 - ones
-    rows = max(1, _BLOCK // arr.size)
-    keep = arr == np.uint64((1 << ms.n) - 1)
-    for lo in range(0, arr.size, rows):
-        above = ones[lo:lo + rows] @ zeros.T == 0   # above[k, x]: member x >= member lo+k
-        keep[lo:lo + rows] |= (above.astype(np.float32) @ zeros == 1).any(axis=1)
-    gens = arr[keep]
+    full = np.uint64((1 << ms.n) - 1)
+    pop = _bit_rows(arr, ms.n).sum(axis=1)   # numpy 1.24 has no bitwise_count
+    order = np.argsort(pop)[::-1]
+    gens = arr[:0]
+    for level in np.split(arr[order], np.flatnonzero(np.diff(pop[order])) + 1):
+        rows = max(1, _BLOCK // max(1, gens.size))
+        kept = [gens]
+        for lo in range(0, level.size, rows):
+            m = level[lo:lo + rows]
+            col = m[:, None]
+            # With no generator above m the fill (or the empty AND, all 64
+            # bits on) differs from m unless m is all-ones, kept anyway.
+            meet = np.bitwise_and.reduce(np.where(gens & col == col, gens, full), axis=1)
+            kept.append(m[(meet != m) | (m == full)])
+        gens = np.concatenate(kept)
     rows = max(1, _BLOCK // gens.size)
     closed = all(
         np.isin(np.bitwise_and.outer(arr[lo:lo + rows], gens), arr).all()
@@ -282,9 +312,11 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
 def is_intersection_closed(ms: ModelSet) -> bool:
     """Check closure under AND without materialising the closure.
 
-    Extracts the characteristic members and checks that ANDing every member
-    with each of them stays in the set (see :func:`_characteristic` for why
-    that suffices).
+    Extracts the meet-irreducible members level by level and checks that
+    ANDing every member with each of them stays in the set, O(|M| x
+    |extracted|) in all; that suffices whether or not the set is closed,
+    since every member is the AND of the extracted members above it (see
+    :func:`_characteristic`).
     """
     return _characteristic(ms)[1]
 
@@ -294,11 +326,14 @@ def characteristic_set(ms: ModelSet) -> ModelSet:
 
     A member is characteristic when it is not the AND of other members;
     equivalently, the AND of all strictly greater members differs from it.
-    It is kept iff it is the all-ones vector or, for some bit it turns off,
-    no other member above it turns that bit off.  The input must be
-    AND-closed (it is meant to be the full model set of a Horn theory),
-    otherwise ValueError is raised; closure is checked in one pass against
-    the extracted members (:func:`_characteristic`).
+    The members are visited level by level, highest popcount first, and a
+    member is kept iff it is the all-ones vector or the AND of the members
+    already kept above it differs from it, which is the same test
+    (:func:`_characteristic` has the proof), at O(|M| x |charset|) word
+    operations.  The input must be AND-closed (it
+    is meant to be the full model set of a Horn theory), otherwise
+    ValueError is raised; closure is checked in one pass against the kept
+    members.
     """
     gens, closed = _characteristic(ms)
     if not closed:

@@ -39,7 +39,9 @@ from .core import (
     HornTheory,
     Model,
     ModelSet,
+    NEIGHBORHOOD_CAP,
     Term,
+    _ball_size,
     _bit_rows,
     _check_query,
     index_mask,
@@ -47,9 +49,8 @@ from .core import (
 )
 from .engine import HornPropagator, _and_above, propagator
 
-#: Default ceiling on materialised subclauses / terms / neighborhood vectors.
+#: Default ceiling on materialised subclauses / terms.
 EXPANSION_CAP = 1 << 20
-NEIGHBORHOOD_CAP = 1 << 22
 
 
 class ClauseInterior(NamedTuple):
@@ -474,7 +475,7 @@ def deduce_interior_charset(
     _check_query(c, alpha, n)
     if not len(charset):
         return Decision(True)
-    size = sum(comb(n, i) for i in range(min(alpha, n) + 1))
+    size = _ball_size(n, alpha)
     if size > cap:
         raise EnumerationLimitError(
             f"alpha={alpha} neighborhood at n={n} exceeds the cap of {cap} vectors"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hornsafe import (
     Clause,
+    EnumerationLimitError,
     HornTheory,
     Model,
     ModelSet,
@@ -125,6 +126,14 @@ class TestNeighborhood:
 
         mod = all_models(ex2)
         assert all(w in mod for w in neighborhood(Model.from_string("0011"), 1))
+
+    def test_cap_checked_before_building(self, monkeypatch):
+        # At n = 10 the alpha = 2 ball has 56 vectors and the alpha = 3 one 176.
+        monkeypatch.setattr("hornsafe.core.NEIGHBORHOOD_CAP", 100)
+        v = Model(10, 0b1010011010)
+        assert len(neighborhood(v, 2)) == 56
+        with pytest.raises(EnumerationLimitError, match="has 176 vectors, over the cap of 100"):
+            neighborhood(v, 3)
 
     @given(st.integers(1, 6), st.data())
     def test_symmetry(self, n, data):

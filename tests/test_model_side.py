@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 
 from hornsafe import (
+    EnumerationLimitError,
     Model,
     ModelSet,
     characteristic_set,
@@ -16,7 +17,7 @@ from hornsafe import (
     random_horn,
     serialize_model_set,
 )
-from hornsafe import oracle
+from hornsafe import engine, oracle
 from hornsafe.oracle import all_models
 
 
@@ -112,6 +113,84 @@ def test_all_models_round_trip():
         cs = characteristic_set(mod)
         assert parse_model_set(serialize_model_set(cs)) == cs
         assert intersection_closure(cs) == mod
+
+
+@pytest.mark.parametrize("n, bits, closed", [
+    (6, [0b000000, 0b000001, 0b000011, 0b001011, 0b101011], True),     # chain
+    (6, [0b000001, 0b000011, 0b001011, 0b111111], True),               # chain to all-ones
+    (4, [0b0011, 0b0101, 0b1001], False),                              # antichain
+    (4, [0b0011, 0b1100], False),
+    (5, [0b10110], True),
+    (5, [0b11111], True),
+    (64, [(1 << 64) - 1], True),
+    (64, [(1 << 64) - 1, (1 << 63) - 1, 1 << 63, 0], True),
+    (64, [(1 << 64) - 2, (1 << 63) - 1], False),
+    (7, [], True),
+])
+def test_extraction_edge_cases(n, bits, closed):
+    assert check_against_references(ModelSet.from_bits(n, bits)) == closed
+
+
+@pytest.mark.parametrize("n, bits", [
+    (6, [0b000000, 0b000001, 0b000011, 0b001011, 0b101011]),
+    (64, [0, 1, 3, (1 << 63) - 1, (1 << 64) - 1]),
+])
+def test_every_chain_member_is_characteristic(n, bits):
+    ms = ModelSet.from_bits(n, bits)
+    assert characteristic_set(ms) == ms
+
+
+def test_characteristic_sets_of_random_theories():
+    rng = random.Random(1012)
+    for _ in range(20):
+        n = rng.randint(10, 12)
+        mod = all_models(random_horn(n, rng.randint(n // 2, n), 3, seed=rng.getrandbits(40)))
+        assert is_intersection_closed(mod)
+        assert characteristic_set(mod) == ref_characteristic(mod)
+
+
+def test_closure_cap(monkeypatch):
+    # ANDs of the "all-ones minus bit i" generators, with all-ones, are the
+    # whole cube: 4,096 members at n = 12.
+    top = (1 << 12) - 1
+    ms = ModelSet.from_bits(12, [top] + [top & ~(1 << i) for i in range(12)])
+    monkeypatch.setattr(engine, "CLOSURE_CAP", 1000)
+    with pytest.raises(EnumerationLimitError, match="over the cap of 1000") as err:
+        intersection_closure(ms)
+    assert int(str(err.value).split()[2]) > 1000
+    monkeypatch.setattr(engine, "CLOSURE_CAP", 4095)
+    with pytest.raises(EnumerationLimitError, match="reached 4096 members"):
+        intersection_closure(ms)
+    monkeypatch.setattr(engine, "CLOSURE_CAP", 4096)
+    closure = intersection_closure(ms)
+    assert len(closure) == 4096 and closure == oracle.intersection_closure(ms)
+
+
+def test_closure_cap_counts_distinct_products(monkeypatch):
+    # Blocks of one frontier row repeat most products; the count must not.
+    top = (1 << 10) - 1
+    ms = ModelSet.from_bits(10, [top & ~(1 << i) for i in range(10)])
+    monkeypatch.setattr(engine, "_BLOCK", 10)
+    monkeypatch.setattr(engine, "CLOSURE_CAP", 1023)
+    assert intersection_closure(ms) == oracle.intersection_closure(ms)
+
+
+@pytest.mark.slow
+def test_every_model_set_at_n4():
+    closed = 0
+    for subset in range(1 << 16):
+        ms = ModelSet.from_bits(4, [v for v in range(16) if subset >> v & 1])
+        is_closed = ref_closed(ms)
+        assert is_intersection_closed(ms) == is_closed
+        # Closed or not, extraction keeps exactly the definitional members.
+        assert ModelSet.from_bits(4, engine._characteristic(ms)[0]) == ref_characteristic(ms)
+        if is_closed:
+            assert characteristic_set(ms) == ref_characteristic(ms)
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                characteristic_set(ms)
+        closed += is_closed
+    assert closed == 4960
 
 
 @pytest.mark.parametrize("n", [1, 5, 64])
