@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
@@ -117,7 +118,7 @@ class Model:
 
     def __post_init__(self) -> None:
         _check_vars(self.n, FORMULA_MAX_VARS)
-        if not 0 <= self.bits < (1 << self.n):
+        if not 0 <= operator.index(self.bits) < (1 << self.n):  # TypeError for 1.5
             raise _bits_error(self.n, self.bits)
 
     def __reduce__(self):
@@ -376,7 +377,7 @@ class ModelSet:
             bits = bits.reshape(-1)
             if not bits.size or int(bits.min()) >= 0 and not int(bits.max()) >> n:
                 return cls._of_array(n, _canonical(bits.astype(np.uint64)))
-        vals = list(map(int, bits))
+        vals = list(map(operator.index, bits))  # TypeError for 1.5, which int() truncates
         if vals and (min(vals) < 0 or max(vals) >> n):
             raise _bits_error(n, next(b for b in vals if not 0 <= b < 1 << n))
         return cls._of_array(n, _canonical(np.array(vals, np.uint64)))
@@ -529,7 +530,8 @@ def iter_flip_masks(n: int, alpha: int) -> Iterator[int]:
 
 def _ball_size(n: int, alpha: int) -> int:
     """Vectors within Hamming distance ``alpha`` of one vector over ``n``
-    variables: ``sum_{i <= alpha} C(n, i)``."""
+    variables: ``sum_{i <= alpha} C(n, i)``, which is also the number of
+    subsets S of an n-set with ``|S| >= n - alpha``."""
     return sum(comb(n, i) for i in range(min(alpha, n) + 1))
 
 

@@ -193,6 +193,18 @@ def _and_above(arr: np.ndarray, bits: int) -> Optional[int]:
     return int(np.bitwise_and.reduce(sel)) if sel.size else None
 
 
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _and_above_rows(members: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per vector v of ``rows``: the AND of the ``members`` >= v (all ones
+    when there are none), and whether there are any.  The row-batched
+    :func:`_and_above`, one pass over rows x members words."""
+    col = rows[:, None]
+    hit = (members & col) == col
+    return np.bitwise_and.reduce(np.where(hit, members, _ONES), axis=1), hit.any(axis=1)
+
+
 def charset_entails(charset: ModelSet, c: Clause) -> Decision:
     """Decide entailment of ``c`` from a characteristic set in O(n |charset|).
 
@@ -295,10 +307,9 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
         kept = [gens]
         for lo in range(0, level.size, rows):
             m = level[lo:lo + rows]
-            col = m[:, None]
-            # With no generator above m the fill (or the empty AND, all 64
-            # bits on) differs from m unless m is all-ones, kept anyway.
-            meet = np.bitwise_and.reduce(np.where(gens & col == col, gens, full), axis=1)
+            # With no generator above m the meet (all 64 bits on) differs
+            # from m unless m is all-ones, kept anyway.
+            meet = _and_above_rows(gens, m)[0]
             kept.append(m[(meet != m) | (m == full)])
         gens = np.concatenate(kept)
     rows = max(1, _BLOCK // gens.size)

@@ -39,6 +39,7 @@ from .core import (
     HornTheory,
     Model,
     ModelSet,
+    _ball_size,
     _check_query,
     index_mask,
 )
@@ -53,12 +54,6 @@ def _falsifier_near(model_bits: int, c: Clause, n: int) -> Model:
     alpha, so the result lies in the exterior and falsifies ``c``; the
     envelope routes use it for their condition-(i) witness."""
     return Model(n, (model_bits | c.neg_mask) & ~c.pos_mask)
-
-
-def _neg_count(c: Clause, alpha: int) -> int:
-    """Number of subsets S of N(c) with ``|S| >= |N(c)| - alpha``."""
-    nn = len(c.neg)
-    return sum(comb(nn, p) for p in range(min(alpha, nn) + 1))
 
 
 def _exterior_neg(
@@ -82,7 +77,7 @@ def _exterior_neg(
         if base is None:
             return Decision(True)
         return Decision(False, witness=_falsifier_near(base.bits, c, n))
-    total = _neg_count(c, alpha)
+    total = _ball_size(len(c.neg), alpha)  # subsets S of N(c) with |S| >= |N(c)| - alpha
     if total > cap:
         if above(()) is None:
             return Decision(True)
@@ -159,7 +154,7 @@ def deduce_exterior_charset(
         return Decision(True)
     if method == "auto":
         pos_count = _predicted_pos_count(c, alpha, len(charset))
-        method = "neg" if _neg_count(c, alpha) <= pos_count else "pos"
+        method = "neg" if _ball_size(len(c.neg), alpha) <= pos_count else "pos"
     if method == "pos" and alpha < len(c):
         return _exterior_charset_pos(charset, c, alpha, cap)
     return _exterior_neg(

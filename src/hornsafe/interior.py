@@ -16,10 +16,10 @@ but deduction against it is not:
 * :func:`deduce_interior_charset` answers the same query from a
   characteristic-model representation by scanning the neighborhood of the
   minimal falsifying vector in fixed numpy chunks of vectors, in
-  O(n^(alpha+2) |charset|): past the first chunk, a vector is first tested
-  against at most n witness members, which prove most vectors models, and
-  only the rest against the whole charset; each restart uses every
-  non-model of the block of vectors where the scan stopped.
+  O(n^(alpha+2) |charset|): a vector is first tested against at most n
+  witness members, which prove most vectors models, and only the rest
+  against the whole charset; each restart uses every non-model of the
+  block of vectors where the scan stopped.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .core import (
     index_mask,
     mask_indices,
 )
-from .engine import HornPropagator, _and_above, propagator
+# _ONES, the all-ones fill of _and_above_rows, is read from here by the scan tests.
+from .engine import _ONES, HornPropagator, _and_above, _and_above_rows, propagator  # noqa: F401
 
 #: Default ceiling on materialised subclauses / terms.
 EXPANSION_CAP = 1 << 20
@@ -95,7 +96,15 @@ def interior_cnf(t: HornTheory, alpha: int, cap: int = EXPANSION_CAP) -> HornThe
 
     Subclauses of Horn clauses stay Horn, so the expansion is again a
     HornTheory; it may contain the empty clause (inconsistent interior).
+    The clauses to build, C(|c|, alpha) per clause c, or 1 when alpha >=
+    |c|, are counted against ``cap`` before any is built; each clause's
+    expansion is also checked by :func:`clause_interior`.
     """
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    total = sum(comb(len(c), alpha) or 1 for c in t.clauses)  # comb is 0 when alpha > |c|
+    if total > cap:
+        raise EnumerationLimitError(f"interior CNF needs {total} clauses (cap {cap})")
     out: list[Clause] = []
     for c in t.clauses:
         out.extend(clause_interior(c, alpha, cap).cnf)
@@ -277,7 +286,6 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
 #: members would pass _CHUNK_WORDS words.  At n = 60 and about 600 members,
 #: 256-row chunks ran no faster than 128 and held more memory.
 _ROWS, _CHUNK_WORDS = 128, 1 << 17
-_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 def _ball_flips(n: int, alpha: int, size: int) -> np.ndarray:
@@ -299,14 +307,6 @@ def _ball_flips(n: int, alpha: int, size: int) -> np.ndarray:
         layer |= np.repeat(flips[lo:hi], counts)
         lo, hi, low = hi, hi + pos.size, pos + 1
     return flips
-
-
-def _and_above_rows(members: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per vector v of ``rows``: the AND of the ``members`` >= v (all ones
-    when there are none), and whether there are any."""
-    col = rows[:, None]
-    hit = (members & col) == col
-    return np.bitwise_and.reduce(np.where(hit, members, _ONES), axis=1), hit.any(axis=1)
 
 
 class _BallScan:
@@ -343,10 +343,9 @@ class _BallScan:
 
         A block is tested in chunks of at most _ROWS rows and _CHUNK_WORDS
         words (one row at least); the blocks, not the chunks, decide what
-        is returned.  The first chunk is tested against every member.
-        Later chunks are first tested against the witnesses of ``vstar``: a
-        row whose witnesses above it AND to exactly the row is a model.  The
-        other rows get the exact test, against the members with a still-set
+        is returned.  Each chunk is first tested against the witnesses of
+        ``vstar``: a row whose witnesses above it AND to exactly the row is a
+        model.  The other rows get the exact test, against the members with a still-set
         bit off, or against every member when some row has no witness above
         it.
         """
@@ -360,24 +359,21 @@ class _BallScan:
                 if self.flips is None:
                     self.flips = _ball_flips(self.n, self.alpha, self.size)
                 chunk = self.flips[lo:min(lo + rows, end)] ^ vs
-                if lo == 1:
-                    w, above = _and_above_rows(arr, chunk)
+                if wit is None:
+                    wit = self.witnesses(vstar)
+                w, above = _and_above_rows(wit, chunk)
+                unsure = (w != chunk) | ~above
+                if not unsure.any():
+                    continue
+                rest = chunk[unsure]
+                if above[unsure].all():
+                    # Here w is the AND of the row's witnesses.  A member
+                    # >= v with every bit of w \ v on contains w, so only
+                    # the others can clear those bits.
+                    need = np.bitwise_or.reduce(w[unsure] & ~rest)
+                    w[unsure] &= _and_above_rows(arr[(arr & need) != need], rest)[0]
                 else:
-                    if wit is None:
-                        wit = self.witnesses(vstar)
-                    w, above = _and_above_rows(wit, chunk)
-                    unsure = (w != chunk) | ~above
-                    if not unsure.any():
-                        continue
-                    rest = chunk[unsure]
-                    if above[unsure].all():
-                        # Here w is the AND of the row's witnesses.  A member
-                        # >= v with every bit of w \ v on contains w, so only
-                        # the others can clear those bits.
-                        need = np.bitwise_or.reduce(w[unsure] & ~rest)
-                        w[unsure] &= _and_above_rows(arr[(arr & need) != need], rest)[0]
-                    else:
-                        w[unsure], above[unsure] = _and_above_rows(arr, rest)
+                    w[unsure], above[unsure] = _and_above_rows(arr, rest)
                 # At n = 64 the all-ones vector with no member above it would
                 # meet the fill value, hence the explicit test.
                 bad = (w != chunk) | ~above
@@ -424,12 +420,12 @@ def deduce_interior_charset(
     the rest of the ball, B = sum_{i <= alpha} C(n, i) vectors, scanned a
     block at a time, each block in chunks of at most 128 vectors: each
     chunk costs a few numpy passes over chunk x members words, with no
-    Python work per vector.  The first chunk is tested against every
-    member.  Later chunks are first tested against the witnesses of v*:
-    for each variable j, the member with j off that has the fewest zeros
-    inside v*, then the fewest zeros overall.  A vector whose witnesses
-    above it AND to exactly it is a model, since the AND of all members
-    above it lies between it and the AND of any nonempty subset of them.
+    Python work per vector.  Each chunk is first tested against the
+    witnesses of v*: for each variable j, the member with j off that has
+    the fewest zeros inside v*, then the fewest zeros overall.  A vector
+    whose witnesses above it AND to exactly it is a model, since the AND
+    of all members above it lies between it and the AND of any nonempty
+    subset of them.
     Only the other vectors get the exact test.  With w0 the AND of the
     witnesses above v, a member above v with every bit of w0 \\ v on
     contains w0, so w = w0 AND the members above v with such a bit off; a
@@ -440,7 +436,7 @@ def deduce_interior_charset(
     v* is not a model and O(B |charset|) words at worst, testing at most
     127 vectors past its first non-model; at most n + 1 balls are scanned.
     At n = 60 and about 600 members, the witnesses are about 60 members and
-    prove about 70 % of the later vectors models; an alpha = 2 NO answer
+    prove about 70 % of the vectors past the first chunk models; an alpha = 2 NO answer
     makes about 10 restarts, each but the last taking 2.3 to 2.6 non-models
     on average.
     Memory: a chunk has at most 128 rows and at most max(1, 2^17 //

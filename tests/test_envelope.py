@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from hornsafe import (
     Clause,
+    EnumerationLimitError,
     HornTheory,
     ModelSet,
     characteristic_set,
@@ -14,6 +17,7 @@ from hornsafe import (
     entails,
     eval_clause,
 )
+from hornsafe.engine import HornPropagator
 from hornsafe.oracle import all_models, envelope_models, exterior_models, oracle_deduce
 from conftest import random_instance, random_query_clause
 
@@ -70,6 +74,49 @@ class TestDeduceEnvelopeFormula:
         # P(c) empty: NO exactly when some step-2 branch is satisfiable.
         t = HornTheory(3, (Clause(neg={1, 2}),))
         assert not deduce_envelope_formula(t, Clause(neg={1, 2, 3}), 3).entailed
+
+
+class TestEnvelopeFormulaCaps:
+    """Each step checks its subset count just before its first probe.  With
+    |N(c)| = 6 and alpha = 2, step 1 has C(6, 5) = 6 subsets and step 2
+    C(6, 4) = 15; at alpha = 3, step 1 has C(6, 4) = 15."""
+
+    QUERY = Clause(pos={7}, neg={1, 2, 3, 4, 5, 6})
+
+    @staticmethod
+    def _count_probes(monkeypatch):
+        calls = []
+        probe = HornPropagator.minimal_model
+
+        def spy(self, *args):
+            calls.append(args)
+            return probe(self, *args)
+
+        monkeypatch.setattr(HornPropagator, "minimal_model", spy)
+        return calls
+
+    def test_step_1_over_the_cap_raises_before_any_probe(self, monkeypatch):
+        calls = self._count_probes(monkeypatch)
+        with pytest.raises(EnumerationLimitError, match="^step-1 enumeration exceeds the cap of 10$"):
+            deduce_envelope_formula(HornTheory(7, ()), self.QUERY, 3, cap=10)
+        assert calls == []
+
+    def test_step_2_over_the_cap_is_not_reached_after_a_step_1_no(self, monkeypatch):
+        calls = self._count_probes(monkeypatch)
+        t = HornTheory(7, ())
+        got = deduce_envelope_formula(t, self.QUERY, 2, cap=10)
+        assert not got.entailed and len(calls) == 1
+        assert got == deduce_envelope_formula(t, self.QUERY, 2)
+
+    def test_step_2_over_the_cap_raises_when_step_1_finds_no_model(self, monkeypatch):
+        # Any five of x1..x6 hold both x1, x2 or both x3, x4: every step-1
+        # probe is unsatisfiable.
+        calls = self._count_probes(monkeypatch)
+        t = HornTheory(7, (Clause(neg={1, 2}), Clause(neg={3, 4})))
+        with pytest.raises(EnumerationLimitError, match="^step-2 enumeration exceeds the cap of 10$"):
+            deduce_envelope_formula(t, self.QUERY, 2, cap=10)
+        assert len(calls) == 6
+        assert not deduce_envelope_formula(t, self.QUERY, 2, cap=15).entailed  # x7 is off in every branch
 
 
 class TestOracleEquivalence:

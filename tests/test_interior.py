@@ -19,6 +19,7 @@ from hornsafe import (
     entails,
     eval_clause,
     interior_cnf,
+    random_horn,
 )
 from hornsafe.oracle import all_models, interior_models, oracle_deduce
 from conftest import random_instance, random_query_clause
@@ -85,6 +86,18 @@ class TestInteriorCnf:
 
     def test_alpha_zero_equivalent(self, ex2):
         assert all_models(interior_cnf(ex2, 0)) == all_models(ex2)
+
+    def test_cap_counts_every_clause_before_building(self):
+        # 6,858 subclauses (6,687 after repeats are dropped), none of them
+        # over the cap alone.
+        t = random_horn(30, 200, 10, seed=1)
+        with pytest.raises(EnumerationLimitError, match=r"needs 6858 clauses \(cap 1000\)"):
+            interior_cnf(t, 3, cap=1000)
+        with pytest.raises(EnumerationLimitError, match=r"needs 6858 clauses \(cap 6857\)"):
+            interior_cnf(t, 3, cap=6857)
+        got = interior_cnf(t, 3, cap=6858)
+        assert got == HornTheory(30, tuple(d for c in t.clauses for d in clause_interior(c, 3).cnf))
+        assert len(got.clauses) == 6687
 
     def test_matches_oracle_interior(self):
         rng = random.Random(88)

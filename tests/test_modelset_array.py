@@ -79,6 +79,19 @@ def test_out_of_range_bits_raise(n):
             ModelSet.from_bits(n, np.array([too_big], np.int64))
 
 
+def test_non_integer_bits_raise_and_integers_of_any_kind_pass():
+    for make in (lambda: Model(3, 1.5), lambda: Model(3, 2.0),
+                 lambda: ModelSet.from_bits(3, [1.5]), lambda: ModelSet.from_bits(3, [1, 2.0]),
+                 lambda: ModelSet.from_bits(3, np.array([1.5, 2.0]))):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make()
+    assert Model(3, np.int64(5)) == Model(3, 5)
+    want = ModelSet.from_bits(3, [1, 2, 7])
+    for bits in ([np.uint8(1), 2, True, 7], np.array([1, 2, 7], np.int8),
+                 np.array([1, 2, 7], object)):
+        assert ModelSet.from_bits(3, bits) == want
+
+
 def test_variable_count_and_member_width_are_checked():
     for n in (0, 65):
         with pytest.raises(ValueError, match="variable count must be in 1..64"):
