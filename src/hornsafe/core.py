@@ -118,8 +118,10 @@ class Model:
 
     def __post_init__(self) -> None:
         _check_vars(self.n, FORMULA_MAX_VARS)
-        if not 0 <= operator.index(self.bits) < (1 << self.n):  # TypeError for 1.5
-            raise _bits_error(self.n, self.bits)
+        bits = operator.index(self.bits)  # TypeError for 1.5; a plain int for np.int64 or True
+        object.__setattr__(self, "bits", bits)
+        if not 0 <= bits < (1 << self.n):
+            raise _bits_error(self.n, bits)
 
     def __reduce__(self):
         return Model, (self.n, self.bits)

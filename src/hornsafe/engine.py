@@ -17,6 +17,7 @@ members.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,12 +41,17 @@ class HornPropagator:
     (:class:`~hornsafe.core.FlatClauses`), parsed or derived from clauses:
     one sort of (variable, clause id) pairs lays out every occurrence list
     at once, as MiniSat's (Een & Sorensson, 2003).  The index keeps no
-    reference to the theory, so it never holds a theory alive.  Each
-    :meth:`minimal_model` call copies the body sizes, seeds from the fact
-    list and then touches only the occurrence lists of variables it sets
-    true: O(theory size + n) at worst (Dowling & Gallier, 1984).  Routes
+    reference to the theory, so it never holds a theory alive.  Routes
     take the index through :func:`propagator`, which builds it once per
     theory.
+
+    Unit propagation is the alpha = 0 case of the package's one
+    counter-propagation loop, :func:`_derive` in this module, which the
+    alpha-interior deduction of :mod:`hornsafe.interior` runs too.  Each
+    :meth:`minimal_model` call copies the body sizes, seeds the loop with
+    the facts and the forced trues, and then touches only the occurrence
+    lists of variables it sets true: O(theory size) at worst (Dowling &
+    Gallier, 1984), times the log factor of the loop's candidate heap.
 
     ``interior_bases`` maps alpha to the query-independent part of the
     alpha-interior deduction (:func:`hornsafe.interior.interior_base`),
@@ -79,54 +85,90 @@ class HornPropagator:
     ) -> Optional[Model]:
         """Unique minimal model of the theory with the given variables pinned.
 
-        Returns None when the constrained theory is unsatisfiable.
+        Returns None when the constrained theory is unsatisfiable.  This is
+        :func:`_derive` at alpha = 0 with ``forced_false`` as the YES set:
+        a clause that fires with no head or a pinned-false head means None.
         """
         n = self.n
-        state = bytearray(n + 1)  # 0 unseen, 1 true, 2 pinned false
+        pins = set()
         for i in forced_false:
             if not 1 <= i <= n:
                 raise ValueError(f"forced index {i} out of range (n={n})")
-            state[i] = 2
+            pins.add(i)
         trues: list[int] = []
         for i in forced_true:
             if not 1 <= i <= n:
                 raise ValueError(f"forced index {i} out of range (n={n})")
-            if state[i] == 2:
+            if i in pins:
                 return None
-            if state[i] == 0:
-                state[i] = 1
-                trues.append(i)
-
-        counters = self.body_sizes.copy()
-        heads = self.heads
-        occ = self.occ
-        pending = list(trues)
-        # Clauses whose body is empty fire immediately.
+            trues.append(i)
+        counts = self.body_sizes.copy()
         for k in self.facts:
-            h = heads[k]
-            if h == 0:
-                return None  # empty clause in the theory
-            if state[h] == 2:
-                return None
-            if state[h] == 0:
-                state[h] = 1
-                trues.append(h)
-                pending.append(h)
-        while pending:
-            i = pending.pop()
-            for k in occ.get(i, ()):
-                counters[k] -= 1
-                if counters[k] == 0:
-                    h = heads[k]
-                    if h == 0:
-                        return None  # negative clause with fully-true body
-                    if state[h] == 2:
-                        return None
-                    if state[h] == 0:
-                        state[h] = 1
-                        trues.append(h)
-                        pending.append(h)
+            counts[k] = 1  # lowered to 0 with the seeds, so every fact fires
+        if _extend(self, 0, pins, bytearray(n + 1), counts, trues, trues, self.facts):
+            return None
         return Model(n, index_mask(trues))
+
+
+def _derive(prop, alpha, pset, inside, counts, ids, step, trace) -> bool:
+    """Grow N (the variables with ``inside[i]`` nonzero) to its fixpoint
+    under the alpha-rule; True when a YES condition holds.
+
+    The package's one counter-propagation loop: the alpha-interior
+    deduction of :func:`~hornsafe.interior.deduce_interior_formula`, and at
+    alpha = 0, where the interior of a theory is the theory, the unit
+    propagation of :meth:`HornPropagator.minimal_model`.
+
+    ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  The clause ids
+    in ``ids`` have their counter lowered by ``step`` first (0 only
+    re-checks it).  While some clause has counter alpha and a head outside
+    N, the first such clause in input order puts its head j into ``trace``
+    and N (``inside[j] = 1``) and lowers the counters of the clauses whose
+    body holds j.  YES holds as soon as a counter falls below alpha, or is
+    alpha with no head or the head in ``pset``.
+    """
+    heads, occ = prop.heads, prop.occ
+    candidates: list[int] = []  # heap of clause ids whose counter is alpha
+    rounds = 0
+    while True:
+        for k in ids:
+            cnt = counts[k] - step
+            counts[k] = cnt
+            if cnt < alpha:
+                return True
+            if cnt == alpha:
+                h = heads[k]
+                if h == 0 or h in pset:
+                    return True
+                if not inside[h]:
+                    heapq.heappush(candidates, k)
+        while candidates:
+            j = heads[heapq.heappop(candidates)]
+            if not inside[j]:
+                break
+        else:
+            return False
+        trace.append(j)
+        inside[j] = 1
+        rounds += 1
+        if rounds > prop.n:
+            raise RuntimeError("interior deduction exceeded its n-round bound")
+        ids, step = occ.get(j, ()), 1
+
+
+def _extend(prop, alpha, pset, inside, counts, fresh, trace, ids=()) -> bool:
+    """:func:`_derive` after putting the variables of ``fresh`` outside N
+    into N: they are marked in ``inside``, and the loop lowers by one the
+    counters of ``ids`` and of the clauses whose body holds one of them.
+    ``fresh`` is read before ``trace`` is written, so they may be one list.
+    """
+    occ = prop.occ
+    met = list(ids)
+    for i in fresh:
+        if not inside[i]:
+            inside[i] = 1
+            met += occ.get(i, ())
+    return _derive(prop, alpha, pset, inside, counts, met, 1, trace)
 
 
 def propagator(t: HornTheory) -> HornPropagator:

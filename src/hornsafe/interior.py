@@ -12,7 +12,10 @@ but deduction against it is not:
   directly from the clause list by growing the negative side of the query
   until one of two terminal conditions fires; the query-independent part
   of that growth is derived once per theory and alpha, in time linear in
-  the theory size up to bookkeeping, and each query pays only its own part;
+  the theory size up to bookkeeping, and each query pays only its own part.
+  Both parts run ``engine._derive``, the package's one counter-propagation
+  loop, which at alpha = 0 is the unit propagation of
+  :meth:`~hornsafe.engine.HornPropagator.minimal_model`;
 * :func:`deduce_interior_charset` answers the same query from a
   characteristic-model representation by scanning the neighborhood of the
   minimal falsifying vector in fixed numpy chunks of vectors, in
@@ -24,7 +27,6 @@ but deduction against it is not:
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from itertools import combinations
 from math import comb
@@ -48,7 +50,8 @@ from .core import (
     mask_indices,
 )
 # _ONES, the all-ones fill of _and_above_rows, is read from here by the scan tests.
-from .engine import _ONES, HornPropagator, _and_above, _and_above_rows, propagator  # noqa: F401
+from .engine import (_ONES, HornPropagator, _and_above, _and_above_rows, _derive,  # noqa: F401
+                     _extend, propagator)
 
 #: Default ceiling on materialised subclauses / terms.
 EXPANSION_CAP = 1 << 20
@@ -80,7 +83,6 @@ def clause_interior(c: Clause, alpha: int, cap: int = EXPANSION_CAP) -> ClauseIn
         raise EnumerationLimitError(
             f"clause interior needs {expected} subsets (cap {cap})"
         )
-    cnf = tuple(Clause.from_literals(keep) for keep in combinations(lits, size - alpha))
     dnf = tuple(
         Term(
             pos=frozenset(l for l in pick if l > 0),
@@ -88,7 +90,14 @@ def clause_interior(c: Clause, alpha: int, cap: int = EXPANSION_CAP) -> ClauseIn
         )
         for pick in combinations(lits, alpha + 1)
     )
-    return ClauseInterior(cnf=cnf, dnf=dnf)
+    return ClauseInterior(cnf=_subclauses(c, alpha), dnf=dnf)
+
+
+def _subclauses(c: Clause, alpha: int) -> tuple[Clause, ...]:
+    """The CNF of the alpha-interior of ``c``: its subclauses keeping ``|c|
+    - alpha`` literals, which is the empty clause alone when alpha >= |c|."""
+    lits = c.literals()
+    return tuple(map(Clause.from_literals, combinations(lits, max(0, len(lits) - alpha))))
 
 
 def interior_cnf(t: HornTheory, alpha: int, cap: int = EXPANSION_CAP) -> HornTheory:
@@ -97,18 +106,15 @@ def interior_cnf(t: HornTheory, alpha: int, cap: int = EXPANSION_CAP) -> HornThe
     Subclauses of Horn clauses stay Horn, so the expansion is again a
     HornTheory; it may contain the empty clause (inconsistent interior).
     The clauses to build, C(|c|, alpha) per clause c, or 1 when alpha >=
-    |c|, are counted against ``cap`` before any is built; each clause's
-    expansion is also checked by :func:`clause_interior`.
+    |c|, are counted against ``cap`` before any is built; that is the only
+    cap applied, and no clause's DNF is built.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     total = sum(comb(len(c), alpha) or 1 for c in t.clauses)  # comb is 0 when alpha > |c|
     if total > cap:
         raise EnumerationLimitError(f"interior CNF needs {total} clauses (cap {cap})")
-    out: list[Clause] = []
-    for c in t.clauses:
-        out.extend(clause_interior(c, alpha, cap).cnf)
-    return HornTheory(t.n, tuple(out))
+    return HornTheory(t.n, tuple(d for c in t.clauses for d in _subclauses(c, alpha)))
 
 
 class InteriorBase(NamedTuple):
@@ -131,14 +137,17 @@ class InteriorBase(NamedTuple):
 
 
 def build_interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
-    """Derive F0 from N = {} and P = {}: the clauses whose body has at most
-    alpha literals are active before any variable is derived."""
+    """Derive F0 from N = {} and P = {} with ``engine._derive``: the clauses
+    whose body has at most alpha literals are active before any variable is
+    derived.  ``inside`` is numbered with F0's positions afterwards."""
     counters = prop.body_sizes.copy()
     inside = array("i", [0]) * (prop.n + 1)
     order: list[int] = []
     active = [k for k, size in enumerate(counters) if size <= alpha]
     if _derive(prop, alpha, frozenset(), inside, counters, active, 0, order):
         counters = None
+    for pos, j in enumerate(order, 1):
+        inside[j] = pos
     return InteriorBase(tuple(order), inside, index_mask(order), counters)
 
 
@@ -168,47 +177,6 @@ class _Overlay(dict):
 
     def __missing__(self, k: int) -> int:
         return self.base[k]
-
-
-def _derive(prop, alpha, pset, inside, counts, ids, step, trace) -> bool:
-    """Grow N (the variables with ``inside[i]`` nonzero) to its fixpoint
-    under the alpha-rule; True when a YES condition holds.
-
-    ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  The clause ids
-    in ``ids`` have their counter lowered by ``step`` first (0 only
-    re-checks it).  While some clause has counter alpha and a head outside
-    N, the first such clause in input order puts its head j into ``trace``
-    and N, with ``inside[j]`` set to the new length of ``trace``.  YES
-    holds as soon as a counter falls below alpha, or is alpha with no head
-    or the head in ``pset``.
-    """
-    heads, occ = prop.heads, prop.occ
-    candidates: list[int] = []  # heap of clause ids whose counter is alpha
-    rounds = 0
-    while True:
-        for k in ids:
-            cnt = counts[k] - step
-            counts[k] = cnt
-            if cnt < alpha:
-                return True
-            if cnt == alpha:
-                h = heads[k]
-                if h == 0 or h in pset:
-                    return True
-                if not inside[h]:
-                    heapq.heappush(candidates, k)
-        while candidates:
-            j = heads[heapq.heappop(candidates)]
-            if not inside[j]:
-                break
-        else:
-            return False
-        trace.append(j)
-        inside[j] = len(trace)
-        rounds += 1
-        if rounds > prop.n:
-            raise RuntimeError("interior deduction exceeded its n-round bound")
-        ids, step = occ.get(j, ()), 1
 
 
 def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
@@ -269,13 +237,8 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     if cut < len(order) or base.counters is None:
         return Decision(True, trace=tuple(trace))
 
-    fresh = [i for i in c.neg if not inside[i]]
-    inside = inside[:]
-    for i in fresh:
-        inside[i] = 1
-    met = [k for i in fresh for k in prop.occ.get(i, ())]
     known = len(trace)
-    if _derive(prop, alpha, c.pos, inside, _Overlay(base.counters), met, 1, trace):
+    if _extend(prop, alpha, c.pos, inside[:], _Overlay(base.counters), c.neg, trace):
         return Decision(True, trace=tuple(trace))
     witness = base.mask | c.neg_mask | index_mask(trace[known:])
     return Decision(False, witness=Model(t.n, witness), trace=tuple(trace))

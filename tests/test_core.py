@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,11 @@ class TestModel:
     def test_bits_beyond_n_rejected(self):
         with pytest.raises(ValueError):
             Model(2, 0b100)
+
+    def test_bits_stored_as_plain_int(self):
+        for bits in (np.int64(5), True):
+            assert type(Model(3, bits).bits) is int
+        assert repr(Model(3, np.int64(5))) == "Model(n=3, bits=5)"
 
     def test_hamming_and_order(self):
         a = Model.from_string("0101")

@@ -8,7 +8,10 @@ instances at n = 3 and 4,960 x 81 x 5 = 2,008,800 at n = 4.  The test
 derives everything it compares against from M itself, by enumeration over
 the 2^n vectors: the Horn CNF of M (every Horn clause M satisfies), its
 characteristic models, and the interior, exterior and envelope model sets.  Nothing here goes through ``engine`` or ``oracle``,
-so the optimised code is never checked against itself.
+so the optimised code is never checked against itself, with one deliberate
+exception: the alpha = 0 interior route is also compared with ``entails``,
+the identity behind their one shared propagation loop (``entails`` itself is
+checked against enumeration, like every route).
 
 Each formula route answers on two theories with equal clauses: one built
 from the clause list and one parsed back from its text, so both sources of
@@ -46,6 +49,7 @@ from hornsafe import (
     deduce_interior_charset,
     deduce_interior_formula,
     entails,
+    minimal_model,
     parse_horn_cnf,
     serialize_horn_cnf,
 )
@@ -292,3 +296,31 @@ def test_interior_charset_answers_do_not_depend_on_the_block(monkeypatch):
                      for c in _clauses(n)
                      for d in [deduce_interior_charset(charset, c, alpha)]])
     assert len(runs[0]) == 13_176 and runs[0] == runs[1]
+
+
+def test_minimal_model_and_the_alpha_0_interior_on_every_theory_at_n3():
+    # Unit propagation is the alpha-rule loop at alpha = 0: minimal_model
+    # under every pair of pin sets, overlapping ones included, must be the
+    # least member containing the true pins, or None when there is none or
+    # it meets the false pins; and the alpha = 0 interior route must give
+    # entails' answer and witness on every clause.
+    n = 3
+    pins = [frozenset(i + 1 for i in range(n) if s >> i & 1) for s in range(1 << n)]
+    bad = []
+    for members in _and_closed_sets(n):
+        built = _horn_cnf(n, members)
+        for source, t in (("built", built), ("parsed", parse_horn_cnf(serialize_horn_cnf(built)))):
+            for true in pins:
+                tm = sum(1 << (i - 1) for i in true)
+                above = [v for v in members if v & tm == tm]
+                least = reduce(lambda a, b: a & b, above) if above else None
+                for false in pins:
+                    fm = sum(1 << (i - 1) for i in false)
+                    want = None if least is None or least & fm else Model(n, least)
+                    if minimal_model(t, true, false) != want:
+                        bad.append((sorted(members), source, sorted(true), sorted(false)))
+            for c in _clauses(n):
+                got, want = deduce_interior_formula(t, c, 0), entails(t, c)
+                if (got.entailed, got.witness) != (want.entailed, want.witness):
+                    bad.append((sorted(members), source, str(c)))
+    assert bad == [], bad[:10]

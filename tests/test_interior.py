@@ -84,6 +84,13 @@ class TestInteriorCnf:
     def test_example2_alpha2_inconsistent(self, ex2):
         assert len(all_models(interior_cnf(ex2, 2))) == 0
 
+    def test_cap_applies_to_the_cnf_only(self):
+        # C(10, 3) = 120 subclauses; the DNF, never built, would have
+        # C(10, 4) = 210 terms, over the cap.
+        t = HornTheory(10, (Clause(neg=frozenset(range(1, 11))),))
+        got = interior_cnf(t, 3, cap=150)
+        assert len(got.clauses) == 120 and {len(d) for d in got.clauses} == {7}
+
     def test_alpha_zero_equivalent(self, ex2):
         assert all_models(interior_cnf(ex2, 0)) == all_models(ex2)
 
