@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import (Clause, Decision, EnumerationLimitError, HornTheory, Model, ModelSet, _bit_rows,
-                   _check_width, _unique, index_mask)
+                   _check_width, _member_flags, _unique, index_mask)
 
 
 class HornPropagator:
@@ -267,7 +267,9 @@ def charset_entails(charset: ModelSet, c: Clause) -> Decision:
 _BLOCK = 1 << 22  # elements per pairwise block (32 MB of uint64)
 
 #: Ceiling on the members :func:`intersection_closure` may produce: the model
-#: count at the CLI's n <= 24, so no set the CLI accepts reaches it.
+#: count at the CLI's n <= 24, so no set the CLI accepts reaches it.  Also
+#: the largest cube (2^n) whose members the closure and the closure check
+#: flag in a 2^n-byte array instead of sorting them.
 CLOSURE_CAP = 1 << 24
 
 
@@ -280,21 +282,35 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     next frontier.  Every element of the closure is the AND of some k
     generators, hence is reached by round k, and each element is ANDed with
     the generators once: O(|closure| x |generators|) pairs in blocks of
-    :data:`_BLOCK`.  The result can grow to 2^n, so after each block the
-    closed members plus the round's distinct new products are counted
-    against :data:`CLOSURE_CAP` (read at call time), and
-    EnumerationLimitError is raised before the next block once they exceed
-    it.
+    :data:`_BLOCK`.
+
+    When 2^n is at most :data:`CLOSURE_CAP` (read at call time), membership
+    is a lookup in a 2^n-byte ``seen`` flag array
+    (:func:`~hornsafe.core._member_flags`, at most 16 MiB): each block's
+    products are filtered through it, and only the new ones are sorted and
+    flagged, so no two blocks of a round yield the same product.  The
+    closure, a subset of the 2^n vectors, cannot pass the cap there.  Over
+    larger cubes each block's products are sorted and tested against
+    ``closed`` with ``np.isin``; the result can grow to 2^n, so after each
+    block the closed members plus the round's distinct new products are
+    counted against :data:`CLOSURE_CAP`, and EnumerationLimitError is
+    raised before the next block once they exceed it.
     """
     if not len(ms):
         return ms
     gens = ms.bits_array
+    seen = _member_flags(gens, ms.n) if 1 << ms.n <= CLOSURE_CAP else None
     closed = frontier = gens
     rows = max(1, _BLOCK // gens.size)
     while frontier.size:
         fresh, size = [], closed.size
         for lo in range(0, frontier.size, rows):
-            cand = _unique(np.bitwise_and.outer(frontier[lo:lo + rows], gens))
+            cand = np.bitwise_and.outer(frontier[lo:lo + rows], gens)
+            if seen is not None:
+                fresh.append(_unique(cand[~seen[cand]]))
+                seen[fresh[-1]] = True
+                continue
+            cand = _unique(cand)
             fresh.append(cand[~np.isin(cand, closed, assume_unique=True)])
             size += fresh[-1].size
             if size > CLOSURE_CAP:
@@ -303,9 +319,10 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
                 size = closed.size + fresh[0].size
                 if size > CLOSURE_CAP:
                     raise EnumerationLimitError(
-                        f"AND-closure reached {size} members, over the cap of {CLOSURE_CAP}"
+                        f"AND-closure reached {size} members, over the cap of {CLOSURE_CAP}",
+                        needed=size, cap=CLOSURE_CAP,
                     )
-        frontier = _unique(np.concatenate(fresh))
+        frontier = np.concatenate(fresh) if seen is not None else _unique(np.concatenate(fresh))
         closed = np.concatenate((closed, frontier))
     return ModelSet.from_bits(ms.n, closed)
 
@@ -335,7 +352,12 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     The closure check then tests every ``m & g`` for m a member and g kept:
     since every b is the AND of kept members, ``a & b`` is a chain of such
     single steps starting from ``a``, so the set is closed iff each step
-    stays in it.  O(|M| x |kept|) pairs, in blocks of :data:`_BLOCK`.
+    stays in it.  O(|M| x |kept|) pairs, in blocks of :data:`_BLOCK`, and
+    stops at the first block with a product outside the set.  When 2^n is
+    at most :data:`CLOSURE_CAP` (read at call time), a product's
+    membership is one lookup in a 2^n-byte flag array of the members
+    (:func:`~hornsafe.core._member_flags`, at most 16 MiB); over larger
+    cubes it is ``np.isin``, which sorts.
     """
     arr = ms.bits_array
     if not arr.size:
@@ -355,11 +377,12 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
             kept.append(m[(meet != m) | (m == full)])
         gens = np.concatenate(kept)
     rows = max(1, _BLOCK // gens.size)
-    closed = all(
-        np.isin(np.bitwise_and.outer(arr[lo:lo + rows], gens), arr).all()
-        for lo in range(0, arr.size, rows)
-    )
-    return gens, closed
+    flags = _member_flags(arr, ms.n) if 1 << ms.n <= CLOSURE_CAP else None
+    for lo in range(0, arr.size, rows):
+        prod = np.bitwise_and.outer(arr[lo:lo + rows], gens)
+        if not (np.isin(prod, arr) if flags is None else flags[prod]).all():
+            return gens, False
+    return gens, True
 
 
 def is_intersection_closed(ms: ModelSet) -> bool:
@@ -386,7 +409,8 @@ def characteristic_set(ms: ModelSet) -> ModelSet:
     operations.  The input must be AND-closed (it
     is meant to be the full model set of a Horn theory), otherwise
     ValueError is raised; closure is checked in one pass against the kept
-    members.
+    members, by lookup in a 2^n-byte flag array of the members when 2^n is
+    at most :data:`CLOSURE_CAP` (n <= 24), else by ``np.isin``.
     """
     gens, closed = _characteristic(ms)
     if not closed:

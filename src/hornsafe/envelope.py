@@ -116,8 +116,10 @@ def deduce_envelope_formula(
 
     def probes():
         for step, size in steps:
-            if comb(nn, size) > cap:
-                raise EnumerationLimitError(f"step-{step} enumeration exceeds the cap of {cap}")
+            if (count := comb(nn, size)) > cap:
+                raise EnumerationLimitError(
+                    f"step-{step} enumeration exceeds the cap of {cap}", needed=count, cap=cap
+                )
             for sub in combinations(nlist, size):
                 v = prop.minimal_model(sub)
                 if v is not None:

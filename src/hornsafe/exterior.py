@@ -83,7 +83,8 @@ def _exterior_neg(
             return Decision(True)
         raise EnumerationLimitError(
             f"{total} subsets of N(c) to enumerate (cap {cap}); "
-            "consider the charset route or the enumeration oracle"
+            "consider the charset route or the enumeration oracle",
+            needed=total, cap=cap,
         )
     nlist = sorted(c.neg)
     nn = len(nlist)
@@ -199,7 +200,7 @@ def _exterior_charset_pos(charset: ModelSet, c: Clause, alpha: int, cap: int) ->
                     work += len(acc) * len(pool)
                     if work > cap:
                         raise EnumerationLimitError(
-                            f"tuple enumeration exceeds the cap of {cap}"
+                            f"tuple enumeration exceeds the cap of {cap}", needed=work, cap=cap
                         )
                     acc = {a & w for a in acc for w in pool}
                 candidates = acc

@@ -81,7 +81,7 @@ def clause_interior(c: Clause, alpha: int, cap: int = EXPANSION_CAP) -> ClauseIn
     expected = max(comb(size, alpha), comb(size, alpha + 1))
     if expected > cap:
         raise EnumerationLimitError(
-            f"clause interior needs {expected} subsets (cap {cap})"
+            f"clause interior needs {expected} subsets (cap {cap})", needed=expected, cap=cap
         )
     dnf = tuple(
         Term(
@@ -113,7 +113,9 @@ def interior_cnf(t: HornTheory, alpha: int, cap: int = EXPANSION_CAP) -> HornThe
         raise ValueError("alpha must be nonnegative")
     total = sum(comb(len(c), alpha) or 1 for c in t.clauses)  # comb is 0 when alpha > |c|
     if total > cap:
-        raise EnumerationLimitError(f"interior CNF needs {total} clauses (cap {cap})")
+        raise EnumerationLimitError(
+            f"interior CNF needs {total} clauses (cap {cap})", needed=total, cap=cap
+        )
     return HornTheory(t.n, tuple(d for c in t.clauses for d in _subclauses(c, alpha)))
 
 
@@ -437,7 +439,8 @@ def deduce_interior_charset(
     size = _ball_size(n, alpha)
     if size > cap:
         raise EnumerationLimitError(
-            f"alpha={alpha} neighborhood at n={n} exceeds the cap of {cap} vectors"
+            f"alpha={alpha} neighborhood at n={n} exceeds the cap of {cap} vectors",
+            needed=size, cap=cap,
         )
     arr = charset.bits_array
     ball = _BallScan(arr, n, alpha, size)

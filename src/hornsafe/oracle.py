@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Clause, HornTheory, ModelSet, _check_width, _unique, iter_flip_masks
+from .core import (Clause, HornTheory, ModelSet, _check_ball, _check_width, _member_flags, _unique,
+                   iter_flip_masks)
 
 ORACLE_MAX_VARS = 24
+#: :func:`all_models` looks for dead words to drop once every this many clauses.
+_COMPACT = 16
 
 
 def _check_n(n: int) -> None:
@@ -50,14 +53,21 @@ def all_models(t: HornTheory) -> ModelSet:
     fails exactly where its head is false and its body all true, so its
     failure words are the complement of the head row (all ones with no
     head) ANDed with the body rows; they are cleared from the running
-    ``ok`` words.  The survivors are unpacked once, cut to 2^n.
+    ``ok`` words, which start with the bits past 2^n off (n < 6: one
+    partial word).  After every :data:`_COMPACT` clauses, once at most half
+    the words still hold a model, the dead words and their table columns
+    are dropped; ``place`` keeps each word's place in the cube.  At the end
+    only the nonzero words are unpacked, 64 bytes each, and each survivor
+    is moved to its word's place: a theory with few models never unpacks
+    the 2^n bytes of the cube.
     """
     _check_n(t.n)
     table = _bit_table(t.n)
-    ok = np.full(table.shape[1], ~np.uint64(0))
+    ok = np.full(table.shape[1], np.uint64((1 << min(64, 1 << t.n)) - 1))
     fail = np.empty_like(ok)
     heads, offsets, body = (a.tolist() for a in t.flat)
-    for h, lo, hi in zip(heads, offsets, offsets[1:]):
+    place = np.arange(ok.size)
+    for k, (h, lo, hi) in enumerate(zip(heads, offsets, offsets[1:])):
         if h:
             np.invert(table[h - 1], out=fail)
         else:
@@ -65,25 +75,33 @@ def all_models(t: HornTheory) -> ModelSet:
         for i in body[lo:hi]:
             fail &= table[i - 1]
         ok &= np.invert(fail, out=fail)
-    # The table and the unpacked bytes are freed before from_bits, whose
-    # sort of the survivors sets the peak (n = 24: 107 MB peak RSS, against
-    # 173 MB with them kept).
+        if k % _COMPACT == _COMPACT - 1:
+            keep = np.flatnonzero(ok)
+            if keep.size * 2 <= ok.size:
+                table, ok, place = table[:, keep], ok[keep], place[keep]
+                fail = np.empty_like(ok)
+    # The table is freed and the unpacked bytes are a temporary, so
+    # from_bits's sort of the survivors sets the peak (n = 24, all 2^24
+    # assignments models: 431-438 MB peak RSS).
     del table, fail
-    words = ok.astype("<u8", copy=False).view(np.uint8)
-    survivors = np.flatnonzero(np.unpackbits(words, bitorder="little")[:1 << t.n])
+    live = np.flatnonzero(ok)
+    words = ok[live].astype("<u8", copy=False).view(np.uint8)
+    survivors = np.flatnonzero(np.unpackbits(words, bitorder="little"))
+    # Survivor p lies in live word p >> 6, word place[live[p >> 6]] of the cube.
+    survivors += ((place[live] - np.arange(live.size)) << 6)[survivors >> 6]
     return ModelSet.from_bits(t.n, survivors)
 
 
 def _ball_fold(ms: ModelSet, alpha: int, fold: np.ufunc) -> ModelSet:
     """The models v whose membership in ``ms``, folded with ``fold``
     (``np.logical_and`` or ``np.logical_or``) over the alpha-ball of v,
-    holds."""
+    holds.  The ball size is checked against the neighborhood cap before
+    anything is gathered."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     _check_n(ms.n)
-    member = np.zeros(1 << ms.n, dtype=bool)
-    if len(ms):
-        member[ms.bits_array] = True
+    _check_ball(ms.n, alpha)
+    member = _member_flags(ms.bits_array, ms.n)
     idx = np.arange(1 << ms.n, dtype=np.uint64)
     acc = member.copy()
     for f in iter_flip_masks(ms.n, alpha):
