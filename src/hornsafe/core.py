@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 import re
 import warnings
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
@@ -363,6 +363,7 @@ class HornTheory:
         return all(eval_clause(c, v) for c in self.clauses)
 
 
+@dataclass(frozen=True, eq=False, repr=False)  # for the frozen fields; the rest is defined below
 class ModelSet:
     """A duplicate-free set of models over ``n <= 64`` variables, held as
     ``bits_array``: a read-only ``uint64`` array of the members' bits in
@@ -413,12 +414,6 @@ class ModelSet:
     @cached_property
     def bits_set(self) -> frozenset[int]:
         return frozenset(self.bits_array.tolist())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return ModelSet.from_bits, (self.n, self.bits_array)
@@ -513,11 +508,25 @@ class Decision:
         return self.entailed
 
 
-def _check_query(c: Clause, alpha: int, n: int) -> None:
-    """The argument checks every ``deduce_*`` route starts with."""
+def _check_alpha(alpha: int) -> int:
+    """The one check of a Hamming radius: ``alpha`` as a plain int, read
+    through ``operator.index`` as :class:`Model` reads its bits (TypeError
+    for 1.5 or 2.0; ``np.int64(2)`` gives 2), and ValueError below 0.
+    The ``deduce_*`` routes (through :func:`_check_query`),
+    ``clause_interior``, ``interior_cnf``, :func:`neighborhood` and the
+    oracle's ball folds call it before anything else."""
+    alpha = operator.index(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    return alpha
+
+
+def _check_query(c: Clause, alpha: int, n: int) -> int:
+    """The argument checks every ``deduce_*`` route starts with; returns
+    alpha as :func:`_check_alpha` reads it."""
+    alpha = _check_alpha(alpha)
     _check_width(c, n)
+    return alpha
 
 
 def _check_width(c: Clause, n: int) -> None:
@@ -577,8 +586,7 @@ def neighborhood(v: Model, alpha: int) -> ModelSet:
     is checked against :data:`NEIGHBORHOOD_CAP` (read at call time) before
     anything is built: EnumerationLimitError above it.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = _check_alpha(alpha)
     if v.n > MAX_VARS:
         raise ValueError(f"neighborhood enumeration is capped at n={MAX_VARS}")
     _check_ball(v.n, alpha)

@@ -105,34 +105,47 @@ class HornPropagator:
         counts = self.body_sizes.copy()
         for k in self.facts:
             counts[k] = 1  # lowered to 0 with the seeds, so every fact fires
-        if _extend(self, 0, pins, bytearray(n + 1), counts, trues, trues, self.facts):
+        if _derive(self, 0, pins, bytearray(n + 1), counts, trues, self.facts, trues):
             return None
         return Model(n, index_mask(trues))
 
 
-def _derive(prop, alpha, pset, inside, counts, ids, step, trace) -> bool:
-    """Grow N (the variables with ``inside[i]`` nonzero) to its fixpoint
-    under the alpha-rule; True when a YES condition holds.
+def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace) -> bool:
+    """Put the variables of ``fresh`` into N (the variables with ``inside[i]``
+    nonzero), then grow N to its fixpoint under the alpha-rule; True when a
+    YES condition holds.
 
-    The package's one counter-propagation loop: the alpha-interior
-    deduction of :func:`~hornsafe.interior.deduce_interior_formula`, and at
-    alpha = 0, where the interior of a theory is the theory, the unit
-    propagation of :meth:`HornPropagator.minimal_model`.
+    The package's one counter-propagation loop, with one entry: the
+    alpha-interior deduction of
+    :func:`~hornsafe.interior.deduce_interior_formula` (its base and each
+    query's extension), and at alpha = 0, where the interior of a theory
+    is the theory, the unit propagation of
+    :meth:`HornPropagator.minimal_model`.
 
-    ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  The clause ids
-    in ``ids`` have their counter lowered by ``step`` first (0 only
-    re-checks it).  While some clause has counter alpha and a head outside
-    N, the first such clause in input order puts its head j into ``trace``
-    and N (``inside[j] = 1``) and lowers the counters of the clauses whose
-    body holds j.  YES holds as soon as a counter falls below alpha, or is
-    alpha with no head or the head in ``pset``.
+    ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  Each variable
+    of ``fresh`` outside N is marked in ``inside``, and the counters of the
+    clauses whose body holds it are lowered by one; so are the counters of
+    the clause ids in ``ids``.  A clause that must be checked before any
+    variable reaches it (a fact, or a clause whose body is already within
+    alpha) is seeded by raising its counter by one and passing its id in
+    ``ids``.  While some clause has counter alpha and a head outside N, the
+    first such clause in input order puts its head j into ``trace`` and N
+    (``inside[j] = 1``) and lowers the counters of the clauses whose body
+    holds j.  YES holds as soon as a counter falls below alpha, or is alpha
+    with no head or the head in ``pset``.  ``fresh`` is read before
+    ``trace`` is written, so they may be one list.
     """
     heads, occ = prop.heads, prop.occ
+    ids = list(ids)
+    for i in fresh:
+        if not inside[i]:
+            inside[i] = 1
+            ids += occ.get(i, ())
     candidates: list[int] = []  # heap of clause ids whose counter is alpha
     rounds = 0
     while True:
         for k in ids:
-            cnt = counts[k] - step
+            cnt = counts[k] - 1
             counts[k] = cnt
             if cnt < alpha:
                 return True
@@ -153,22 +166,7 @@ def _derive(prop, alpha, pset, inside, counts, ids, step, trace) -> bool:
         rounds += 1
         if rounds > prop.n:
             raise RuntimeError("interior deduction exceeded its n-round bound")
-        ids, step = occ.get(j, ()), 1
-
-
-def _extend(prop, alpha, pset, inside, counts, fresh, trace, ids=()) -> bool:
-    """:func:`_derive` after putting the variables of ``fresh`` outside N
-    into N: they are marked in ``inside``, and the loop lowers by one the
-    counters of ``ids`` and of the clauses whose body holds one of them.
-    ``fresh`` is read before ``trace`` is written, so they may be one list.
-    """
-    occ = prop.occ
-    met = list(ids)
-    for i in fresh:
-        if not inside[i]:
-            inside[i] = 1
-            met += occ.get(i, ())
-    return _derive(prop, alpha, pset, inside, counts, met, 1, trace)
+        ids = occ.get(j, ())
 
 
 def propagator(t: HornTheory) -> HornPropagator:

@@ -73,7 +73,7 @@ def deduce_envelope_charset(charset: ModelSet, c: Clause, alpha: int) -> Decisio
     condition (i) reports the offending member in the trace; both NO
     branches attach a countermodel from the envelope.
     """
-    _check_query(c, alpha, charset.n)
+    alpha = _check_query(c, alpha, charset.n)
     return _envelope_test(charset.bits_array.tolist(), c, alpha, charset.n)
 
 
@@ -106,7 +106,7 @@ def deduce_envelope_formula(
     contribute nothing.
     """
     n = t.n
-    _check_query(c, alpha, n)
+    alpha = _check_query(c, alpha, n)
     prop = propagator(t)
     nlist = sorted(c.neg)
     nn = len(nlist)

@@ -113,7 +113,7 @@ def deduce_exterior_formula(
     N(c) with ``|S| >= |N(c)| - alpha``, at most ``cap`` of them.  NO
     answers carry a countermodel from the exterior.
     """
-    _check_query(c, alpha, t.n)
+    alpha = _check_query(c, alpha, t.n)
     return _exterior_neg(propagator(t).minimal_model, c, alpha, t.n, cap)
 
 
@@ -148,7 +148,7 @@ def deduce_exterior_charset(
     everything.
     """
     n = charset.n
-    _check_query(c, alpha, n)
+    alpha = _check_query(c, alpha, n)
     if method not in ("neg", "pos", "auto"):
         raise ValueError(f"unknown method {method!r}")
     if not len(charset):

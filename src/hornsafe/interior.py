@@ -45,13 +45,13 @@ from .core import (
     Term,
     _ball_size,
     _bit_rows,
+    _check_alpha,
     _check_query,
     index_mask,
     mask_indices,
 )
 # _ONES, the all-ones fill of _and_above_rows, is read from here by the scan tests.
-from .engine import (_ONES, HornPropagator, _and_above, _and_above_rows, _derive,  # noqa: F401
-                     _extend, propagator)
+from .engine import _ONES, HornPropagator, _and_above, _and_above_rows, _derive, propagator  # noqa: F401
 
 #: Default ceiling on materialised subclauses / terms.
 EXPANSION_CAP = 1 << 20
@@ -72,8 +72,7 @@ def clause_interior(c: Clause, alpha: int, cap: int = EXPANSION_CAP) -> ClauseIn
     When ``alpha >= |c|`` the interior is unsatisfiable: the CNF collapses to
     the single empty clause and the DNF has no terms.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = _check_alpha(alpha)
     lits = c.literals()
     size = len(lits)
     if alpha >= size:
@@ -109,8 +108,7 @@ def interior_cnf(t: HornTheory, alpha: int, cap: int = EXPANSION_CAP) -> HornThe
     |c|, are counted against ``cap`` before any is built; that is the only
     cap applied, and no clause's DNF is built.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = _check_alpha(alpha)
     total = sum(comb(len(c), alpha) or 1 for c in t.clauses)  # comb is 0 when alpha > |c|
     if total > cap:
         raise EnumerationLimitError(
@@ -139,14 +137,20 @@ class InteriorBase(NamedTuple):
 
 
 def build_interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
-    """Derive F0 from N = {} and P = {} with ``engine._derive``: the clauses
-    whose body has at most alpha literals are active before any variable is
-    derived.  ``inside`` is numbered with F0's positions afterwards."""
+    """Derive F0 from N = {} and P = {} with ``engine._derive``.
+
+    The clauses whose body has at most alpha literals are active before any
+    variable is derived; they are seeded as ``minimal_model`` seeds its
+    facts, each counter raised by one and the id passed in ``ids``, so the
+    loop lowers it back and checks it.  ``inside`` is numbered with F0's
+    positions afterwards."""
     counters = prop.body_sizes.copy()
     inside = array("i", [0]) * (prop.n + 1)
     order: list[int] = []
     active = [k for k, size in enumerate(counters) if size <= alpha]
-    if _derive(prop, alpha, frozenset(), inside, counters, active, 0, order):
+    for k in active:
+        counters[k] += 1
+    if _derive(prop, alpha, frozenset(), inside, counters, (), active, order):
         counters = None
     for pos, j in enumerate(order, 1):
         inside[j] = pos
@@ -218,29 +222,25 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     Candidate clauses are kept in a heap keyed by input position, adding a
     log factor to both.
 
-    The trace is the base derivation without the variables of N(c), then
-    the query's own derivation, cut where YES fired: a YES from P(c)
-    meeting F0 cuts the base derivation before its first variable in P(c).
+    The trace is the base derivation ``order[:cut]`` with the positions of
+    N(c)'s variables deleted, then the query's own derivation, cut where
+    YES fired.  ``cut`` is the position of the base derivation's first
+    variable in P(c) when P(c) meets F0 (a YES), else its whole length.
     """
-    _check_query(c, alpha, t.n)
+    alpha = _check_query(c, alpha, t.n)
     prop = propagator(t)
     base = interior_base(prop, alpha)
     order, inside = base.order, base.inside
     # The base derivation, cut before its first variable in P(c), without N(c).
     cut = min((inside[p] - 1 for p in c.pos if inside[p]), default=len(order))
-    trace: list[int] = []
-    start = 0
-    for skip in sorted(inside[i] - 1 for i in c.neg if inside[i]):
-        if skip >= cut:
-            break
-        trace.extend(order[start:skip])
-        start = skip + 1
-    trace.extend(order[start:cut])
+    trace = list(order[:cut])
+    for skip in sorted((inside[i] - 1 for i in c.neg if 0 < inside[i] <= cut), reverse=True):
+        del trace[skip]
     if cut < len(order) or base.counters is None:
         return Decision(True, trace=tuple(trace))
 
     known = len(trace)
-    if _extend(prop, alpha, c.pos, inside[:], _Overlay(base.counters), c.neg, trace):
+    if _derive(prop, alpha, c.pos, inside[:], _Overlay(base.counters), c.neg, (), trace):
         return Decision(True, trace=tuple(trace))
     witness = base.mask | c.neg_mask | index_mask(trace[known:])
     return Decision(False, witness=Model(t.n, witness), trace=tuple(trace))
@@ -433,7 +433,7 @@ def deduce_interior_charset(
     falsifying c, whichever non-models the restarts took.
     """
     n = charset.n
-    _check_query(c, alpha, n)
+    alpha = _check_query(c, alpha, n)
     if not len(charset):
         return Decision(True)
     size = _ball_size(n, alpha)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Clause, HornTheory, ModelSet, _check_ball, _check_width, _member_flags, _unique,
-                   iter_flip_masks)
+from .core import (Clause, HornTheory, ModelSet, _check_alpha, _check_ball, _check_width, _member_flags,
+                   _unique, iter_flip_masks)
 
 ORACLE_MAX_VARS = 24
 #: :func:`all_models` looks for dead words to drop once every this many clauses.
@@ -97,8 +97,7 @@ def _ball_fold(ms: ModelSet, alpha: int, fold: np.ufunc) -> ModelSet:
     (``np.logical_and`` or ``np.logical_or``) over the alpha-ball of v,
     holds.  The ball size is checked against the neighborhood cap before
     anything is gathered."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = _check_alpha(alpha)
     _check_n(ms.n)
     _check_ball(ms.n, alpha)
     member = _member_flags(ms.bits_array, ms.n)

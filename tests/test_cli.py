@@ -168,6 +168,32 @@ class TestGen:
                      "--k", "2", "--out", str(tmp_path)])
         assert code == 0
 
+    def test_interior_consistency_instance_files(self, tmp_path, capsys):
+        # The empty clause is entailed (exit 0) exactly when the interior is
+        # inconsistent, that is when the graph has an independent set of size k.
+        from hornsafe import has_independent_set
+        from hornsafe.cli import _graph_from_spec
+
+        codes = set()
+        for spec in ("k3", "p3", "p4", "c4", "k4", "5:1-2,2-3,4-5"):
+            graph = _graph_from_spec(spec)
+            for k in range(1, graph.nv + 1):
+                out = tmp_path / f"{spec.replace(':', '_')}_k{k}"
+                assert main(["gen", "--reduction", "interior-consistency", "--graph", spec,
+                             "--k", str(k), "--out", str(out)]) == 0
+                (manifest_path,) = out.glob("*.manifest.json")
+                manifest = json.loads(manifest_path.read_text())
+                assert manifest["query"] == ""
+                code = main(["deduce", "--charset", str(out / manifest["files"]["models"]),
+                             "--mode", "interior", "--alpha", str(manifest["alpha"]),
+                             "--clause", ""])
+                capsys.readouterr()
+                yes = manifest["expected"] == "YES"
+                assert yes == has_independent_set(graph, k)
+                assert code == (0 if yes else 1)
+                codes.add(code)
+        assert codes == {0, 1}
+
     def test_reduction_requires_graph_and_k(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--reduction", "vertex-cover", "--out", str(tmp_path)])
