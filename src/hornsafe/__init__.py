@@ -3,6 +3,8 @@ propositional Horn knowledge bases, under formula-based (Horn CNF) and
 model-based (characteristic set) representations, with an exhaustive
 enumeration oracle for verification."""
 
+import types as _types
+
 from .core import (
     Clause,
     Decision,
@@ -63,54 +65,6 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Clause",
-    "ClauseInterior",
-    "Decision",
-    "EnumerationLimitError",
-    "Graph",
-    "HornPropagator",
-    "HornTheory",
-    "MAX_VARS",
-    "Model",
-    "ModelSet",
-    "ORACLE_MAX_VARS",
-    "ParseError",
-    "Term",
-    "all_models",
-    "characteristic_set",
-    "charset_entails",
-    "clause_interior",
-    "deduce_envelope_charset",
-    "deduce_envelope_formula",
-    "deduce_exterior_charset",
-    "deduce_exterior_formula",
-    "deduce_interior_charset",
-    "deduce_interior_formula",
-    "entails",
-    "envelope_models",
-    "eval_clause",
-    "eval_term",
-    "exterior_models",
-    "has_independent_set",
-    "has_vertex_cover",
-    "independent_set_instance",
-    "interior_cnf",
-    "interior_consistency_instance",
-    "interior_models",
-    "intersection_closure",
-    "is_intersection_closed",
-    "max_independent_set_size",
-    "min_model_above",
-    "min_vertex_cover_size",
-    "minimal_model",
-    "named_graph",
-    "neighborhood",
-    "oracle_deduce",
-    "parse_horn_cnf",
-    "parse_model_set",
-    "random_horn",
-    "serialize_horn_cnf",
-    "serialize_model_set",
-    "vertex_cover_instance",
-]
+# Every public name bound above, the submodules left out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -101,10 +101,15 @@ def _member_flags(arr: np.ndarray, n: int) -> np.ndarray:
     ``uint64`` array ``arr``: membership by lookup instead of a sort.  It
     takes 2^n bytes from ``calloc``: pages newly mapped from the system
     are zero-filled lazily, on first touch, but a block the allocator
-    reuses is cleared in full (at n = 24, 16 MiB: about 0.4-0.7 ms on a
-    2-vCPU VM)."""
+    reuses is cleared in full (at n = 24, 16 MiB: about 0.4-0.8 ms on a
+    2-vCPU VM).
+
+    The scatter, like every lookup into such a table, indexes with an
+    ``intp`` view of the ``uint64`` values: numpy first casts an unsigned
+    index array to ``intp`` itself, which makes a gather 2-4x slower.
+    A table exists only for n <= 24, so the view reads the same indices."""
     flags = np.zeros(1 << n, bool)
-    flags[arr] = True
+    flags[arr.view(np.intp)] = True
     return flags
 
 
@@ -457,12 +462,21 @@ def _bits_error(n: int, bits: int) -> ValueError:
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
 
+#: Bytes of ``arr`` that :func:`_reverse_bits` looks up per step.
+_REVERSE_CHUNK = 1 << 16
+
+
 def _reverse_bits(arr: np.ndarray) -> None:
     """Reverse the 64 bits of each ``uint64`` of ``arr`` in place: every byte
-    by table, through one ``arr``-sized temporary (``np.take`` would first
-    copy the byte indices to ``intp``, eight times that), then the byte order."""
+    by table, then the byte order.  The bytes are looked up
+    :data:`_REVERSE_CHUNK` at a time, each chunk's indices cast to ``intp``
+    (numpy would cast ``uint8`` indices itself, slower) into one temporary
+    of at most 512 KiB, whatever the size of ``arr``."""
     octets = arr.view(np.uint8)
-    octets[:] = _REVERSED_BYTE[octets]
+    for lo in range(0, octets.size, _REVERSE_CHUNK):
+        chunk = octets[lo:lo + _REVERSE_CHUNK]
+        # "clip" writes into ``out`` unbuffered; every byte is in range.
+        np.take(_REVERSED_BYTE, chunk.astype(np.intp), out=chunk, mode="clip")
     arr.byteswap(inplace=True)
 
 
@@ -513,8 +527,9 @@ def _check_alpha(alpha: int) -> int:
     through ``operator.index`` as :class:`Model` reads its bits (TypeError
     for 1.5 or 2.0; ``np.int64(2)`` gives 2), and ValueError below 0.
     The ``deduce_*`` routes (through :func:`_check_query`),
-    ``clause_interior``, ``interior_cnf``, :func:`neighborhood` and the
-    oracle's ball folds call it before anything else."""
+    ``clause_interior``, ``interior_cnf``, :func:`neighborhood`,
+    :func:`iter_flip_masks` and the oracle's ball folds call it before
+    anything else."""
     alpha = operator.index(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -551,8 +566,9 @@ def eval_term(t: Term, v: Model) -> bool:
 
 def iter_flip_masks(n: int, alpha: int) -> Iterator[int]:
     """Bit masks of every flip set of size <= alpha, smaller sets first,
-    same-size sets in lexicographic order of their sorted index tuples."""
-    for size in range(min(alpha, n) + 1):
+    same-size sets in lexicographic order of their sorted index tuples.
+    ``alpha`` goes through :func:`_check_alpha` before the first mask."""
+    for size in range(min(_check_alpha(alpha), n) + 1):
         for positions in combinations(range(n), size):
             m = 0
             for p in positions:

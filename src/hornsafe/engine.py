@@ -242,7 +242,13 @@ def _and_above_rows(members: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     :func:`_and_above`, one pass over rows x members words."""
     col = rows[:, None]
     hit = (members & col) == col
-    return np.bitwise_and.reduce(np.where(hit, members, _ONES), axis=1), hit.any(axis=1)
+    return _meet_rows(members, hit), hit.any(axis=1)
+
+
+def _meet_rows(members: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Per row of the rows x members ``bool`` matrix ``hit``: the AND of
+    the ``members`` it marks, all ones when it marks none."""
+    return np.bitwise_and.reduce(np.where(hit, members, _ONES), axis=1)
 
 
 def charset_entails(charset: ModelSet, c: Clause) -> Decision:
@@ -267,8 +273,26 @@ _BLOCK = 1 << 22  # elements per pairwise block (32 MB of uint64)
 #: Ceiling on the members :func:`intersection_closure` may produce: the model
 #: count at the CLI's n <= 24, so no set the CLI accepts reaches it.  Also
 #: the largest cube (2^n) whose members the closure and the closure check
-#: flag in a 2^n-byte array instead of sorting them.
+#: may flag in a 2^n-byte array instead of sorting them.
 CLOSURE_CAP = 1 << 24
+
+#: Cubes of at most this many vectors (64 KiB of flags) always get a flag
+#: table under :data:`CLOSURE_CAP`; a larger cube gets one only when the
+#: lookups it serves number at least 2^n / :data:`_TABLE_SHARE`.  At n = 24
+#: a reused 16 MiB table costs 0.8 ms to clear, about what sorting 25,000
+#: products for ``np.isin`` costs.
+_TABLE_FLOOR = 1 << 16
+_TABLE_SHARE = 512
+
+
+def _flag_table(arr: np.ndarray, n: int, lookups: int) -> Optional[np.ndarray]:
+    """The 2^n-byte flag table of ``arr`` (:func:`~hornsafe.core._member_flags`)
+    when 2^n is at most :data:`CLOSURE_CAP` (read at call time) and the
+    table pays for itself over ``lookups`` lookups, else None: the caller
+    sorts instead."""
+    if 1 << n <= min(CLOSURE_CAP, max(_TABLE_FLOOR, lookups * _TABLE_SHARE)):
+        return _member_flags(arr, n)
+    return None
 
 
 def intersection_closure(ms: ModelSet) -> ModelSet:
@@ -282,31 +306,35 @@ def intersection_closure(ms: ModelSet) -> ModelSet:
     the generators once: O(|closure| x |generators|) pairs in blocks of
     :data:`_BLOCK`.
 
-    When 2^n is at most :data:`CLOSURE_CAP` (read at call time), membership
-    is a lookup in a 2^n-byte ``seen`` flag array
-    (:func:`~hornsafe.core._member_flags`, at most 16 MiB): each block's
-    products are filtered through it, and only the new ones are sorted and
-    flagged, so no two blocks of a round yield the same product.  The
-    closure, a subset of the 2^n vectors, cannot pass the cap there.  Over
-    larger cubes each block's products are sorted and tested against
-    ``closed`` with ``np.isin``; the result can grow to 2^n, so after each
-    block the closed members plus the round's distinct new products are
-    counted against :data:`CLOSURE_CAP`, and EnumerationLimitError is
-    raised before the next block once they exceed it.
+    Each round starts by asking :func:`_flag_table` for a 2^n-byte ``seen``
+    flag array of ``closed``, until one is built, with the round's
+    |frontier| x |generators| products as its lookups.  With ``seen``
+    (2^n at most :data:`CLOSURE_CAP`), each block's products are filtered
+    through it by ``intp`` lookup, and only the new ones are sorted and
+    flagged, so no two blocks of a round yield the same product; the
+    closure, a subset of the 2^n vectors, cannot pass the cap.  Without
+    it, each block's products are sorted and tested against ``closed``
+    with ``np.isin``; over cubes larger than the cap the result can grow
+    to 2^n, so after each block the closed members plus the round's
+    distinct new products are counted against :data:`CLOSURE_CAP`, and
+    EnumerationLimitError is raised before the next block once they
+    exceed it.
     """
     if not len(ms):
         return ms
     gens = ms.bits_array
-    seen = _member_flags(gens, ms.n) if 1 << ms.n <= CLOSURE_CAP else None
     closed = frontier = gens
+    seen = None
     rows = max(1, _BLOCK // gens.size)
     while frontier.size:
+        if seen is None:
+            seen = _flag_table(closed, ms.n, frontier.size * gens.size)
         fresh, size = [], closed.size
         for lo in range(0, frontier.size, rows):
             cand = np.bitwise_and.outer(frontier[lo:lo + rows], gens)
             if seen is not None:
-                fresh.append(_unique(cand[~seen[cand]]))
-                seen[fresh[-1]] = True
+                fresh.append(_unique(cand[~seen[cand.view(np.intp)]]))
+                seen[fresh[-1].view(np.intp)] = True
                 continue
             cand = _unique(cand)
             fresh.append(cand[~np.isin(cand, closed, assume_unique=True)])
@@ -333,8 +361,9 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     and keeps member m iff m is the all-ones vector or the AND of the
     members kept so far that lie above m differs from m (all-ones when
     there are none).  Only members of higher popcount lie strictly above
-    m, so a level is tested in one vectorised step against the members
-    kept at the levels before it: ``g & m == m`` selects them and a masked
+    m, so a level, a slice of the one popcount-sorted member array, is
+    tested in one vectorised step against the members kept at the levels
+    before it: ``g & m == m`` selects them and a masked
     ``bitwise_and.reduce`` ANDs them, in row blocks of :data:`_BLOCK`
     elements.  That is O(|M| x |kept|) word operations, no floating-point
     matrix.
@@ -351,11 +380,11 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     since every b is the AND of kept members, ``a & b`` is a chain of such
     single steps starting from ``a``, so the set is closed iff each step
     stays in it.  O(|M| x |kept|) pairs, in blocks of :data:`_BLOCK`, and
-    stops at the first block with a product outside the set.  When 2^n is
-    at most :data:`CLOSURE_CAP` (read at call time), a product's
-    membership is one lookup in a 2^n-byte flag array of the members
-    (:func:`~hornsafe.core._member_flags`, at most 16 MiB); over larger
-    cubes it is ``np.isin``, which sorts.
+    stops at the first block with a product outside the set.  A product's
+    membership is one ``intp`` lookup in the 2^n-byte flag array of the
+    members when :func:`_flag_table` builds one for those pairs (2^n at
+    most :data:`CLOSURE_CAP`, read at call time, and enough pairs to pay
+    for the table); otherwise it is ``np.isin``, which sorts.
     """
     arr = ms.bits_array
     if not arr.size:
@@ -363,22 +392,25 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     full = np.uint64((1 << ms.n) - 1)
     pop = _bit_rows(arr, ms.n).sum(axis=1)   # numpy 1.24 has no bitwise_count
     order = np.argsort(pop)[::-1]
+    ranked = arr[order]
+    cuts = (np.flatnonzero(np.diff(pop[order])) + 1).tolist()
     gens = arr[:0]
-    for level in np.split(arr[order], np.flatnonzero(np.diff(pop[order])) + 1):
+    for start, stop in zip([0] + cuts, cuts + [arr.size]):
         rows = max(1, _BLOCK // max(1, gens.size))
         kept = [gens]
-        for lo in range(0, level.size, rows):
-            m = level[lo:lo + rows]
+        for lo in range(start, stop, rows):
+            m = ranked[lo:min(lo + rows, stop)]
             # With no generator above m the meet (all 64 bits on) differs
             # from m unless m is all-ones, kept anyway.
-            meet = _and_above_rows(gens, m)[0]
+            col = m[:, None]
+            meet = _meet_rows(gens, (gens & col) == col)
             kept.append(m[(meet != m) | (m == full)])
         gens = np.concatenate(kept)
     rows = max(1, _BLOCK // gens.size)
-    flags = _member_flags(arr, ms.n) if 1 << ms.n <= CLOSURE_CAP else None
+    flags = _flag_table(arr, ms.n, arr.size * gens.size)
     for lo in range(0, arr.size, rows):
         prod = np.bitwise_and.outer(arr[lo:lo + rows], gens)
-        if not (np.isin(prod, arr) if flags is None else flags[prod]).all():
+        if not (np.isin(prod, arr) if flags is None else flags[prod.view(np.intp)]).all():
             return gens, False
     return gens, True
 
@@ -407,8 +439,8 @@ def characteristic_set(ms: ModelSet) -> ModelSet:
     operations.  The input must be AND-closed (it
     is meant to be the full model set of a Horn theory), otherwise
     ValueError is raised; closure is checked in one pass against the kept
-    members, by lookup in a 2^n-byte flag array of the members when 2^n is
-    at most :data:`CLOSURE_CAP` (n <= 24), else by ``np.isin``.
+    members, by lookup in a 2^n-byte flag array of the members when
+    :func:`_flag_table` builds one (n <= 24), else by ``np.isin``.
     """
     gens, closed = _characteristic(ms)
     if not closed:

