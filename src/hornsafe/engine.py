@@ -357,45 +357,72 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
     """The meet-irreducible members of ``ms`` (those that are not the AND of
     the strictly greater members) and whether ``ms`` is AND-closed.
 
-    Extraction visits the members level by level, highest popcount first,
-    and keeps member m iff m is the all-ones vector or the AND of the
-    members kept so far that lie above m differs from m (all-ones when
+    A single-bit cover of member m is a member equal to m with one more
+    bit on.  Two of them, ``m | 1 << i`` and ``m | 1 << j``, AND to m, so a
+    member with two is reducible, and the meet-irreducible members (kept)
+    lie among the candidates, the members with at most one: kept is a
+    subset of the candidates, a subset of M.  When :func:`_flag_table`
+    builds the 2^n-byte flag array of the members for |M| x n lookups,
+    the candidates come from one pass of those lookups, ``m | 1 << i``
+    for every bit i, in blocks of :data:`_BLOCK` elements: m itself
+    answers for each of its on bits, so m has two covers exactly when
+    more than popcount(m) + 1 lookups hit.  Without the table every member
+    is a candidate: by ``np.isin``, which sorts, the filter made
+    extraction up to three times slower at n = 24 to 40.
+
+    Extraction then visits the candidates level by level, highest popcount
+    first, and keeps candidate m iff m is the all-ones vector or the AND of
+    the members kept so far that lie above m differs from m (all-ones when
     there are none).  Only members of higher popcount lie strictly above
-    m, so a level, a slice of the one popcount-sorted member array, is
+    m, so a level, a slice of the one popcount-sorted candidate array, is
     tested in one vectorised step against the members kept at the levels
     before it: ``g & m == m`` selects them and a masked
     ``bitwise_and.reduce`` ANDs them, in row blocks of :data:`_BLOCK`
-    elements.  That is O(|M| x |kept|) word operations, no floating-point
-    matrix.
+    elements.  That is O(|candidates| x |kept|) word operations, no
+    floating-point matrix.
 
     Why this keeps the meet-irreducible members, closed set or not.  By
     induction from the top level down, every member is the AND of the kept
     members above it (itself included): a kept member is its own, and a
-    member not kept equals the AND of the kept members strictly above it.
-    So each member x strictly above m is the AND of kept members strictly
+    member not kept equals the AND of the kept members strictly above it
+    (a member that is no candidate is the AND of its two covers).  So
+    each member x strictly above m is the AND of kept members strictly
     above m, and the AND of all members strictly above m equals the AND of
-    the kept ones: the level test is the definitional one.
+    the kept ones: the level test is the definitional one.  Skipping a
+    member that is no candidate removes no kept member, so the kept
+    members above each candidate, and the test, are what they would be
+    with every member visited.
 
     The closure check then tests every ``m & g`` for m a member and g kept:
     since every b is the AND of kept members, ``a & b`` is a chain of such
     single steps starting from ``a``, so the set is closed iff each step
     stays in it.  O(|M| x |kept|) pairs, in blocks of :data:`_BLOCK`, and
-    stops at the first block with a product outside the set.  A product's
-    membership is one ``intp`` lookup in the 2^n-byte flag array of the
-    members when :func:`_flag_table` builds one for those pairs (2^n at
-    most :data:`CLOSURE_CAP`, read at call time, and enough pairs to pay
-    for the table); otherwise it is ``np.isin``, which sorts.
+    stops at the first block with a product outside the set; with the
+    filter, O(|M| x (n + |kept|)) in all.  A product's membership is one
+    ``intp`` lookup in the flag array, built for the filter or, failing
+    that, by :func:`_flag_table` for the check's |M| x |kept| lookups (2^n
+    at most :data:`CLOSURE_CAP`, read at call time); otherwise it is
+    ``np.isin``.
     """
-    arr = ms.bits_array
+    arr, n = ms.bits_array, ms.n
     if not arr.size:
         return arr, True
-    full = np.uint64((1 << ms.n) - 1)
-    pop = _bit_rows(arr, ms.n).sum(axis=1)   # numpy 1.24 has no bitwise_count
-    order = np.argsort(pop)[::-1]
+    full = np.uint64((1 << n) - 1)
+    pop = _bit_rows(arr, n).sum(axis=1)   # numpy 1.24 has no bitwise_count
+    flags = _flag_table(arr, n, arr.size * n)
+    order = np.arange(arr.size)
+    if flags is not None:
+        # One row of lookups per bit, summed down the columns.
+        bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))[:, None]
+        rows = max(1, _BLOCK // n)
+        order = np.flatnonzero(np.concatenate([
+            flags[(bits | arr[lo:lo + rows]).view(np.intp)].sum(axis=0, dtype=np.uint8) <= pop[lo:lo + rows] + 1
+            for lo in range(0, arr.size, rows)]))
+    order = order[np.argsort(pop[order])[::-1]]
     ranked = arr[order]
     cuts = (np.flatnonzero(np.diff(pop[order])) + 1).tolist()
     gens = arr[:0]
-    for start, stop in zip([0] + cuts, cuts + [arr.size]):
+    for start, stop in zip([0] + cuts, cuts + [ranked.size]):
         rows = max(1, _BLOCK // max(1, gens.size))
         kept = [gens]
         for lo in range(start, stop, rows):
@@ -406,8 +433,9 @@ def _characteristic(ms: ModelSet) -> tuple[np.ndarray, bool]:
             meet = _meet_rows(gens, (gens & col) == col)
             kept.append(m[(meet != m) | (m == full)])
         gens = np.concatenate(kept)
+    if flags is None:  # the check's lookups may pay where the filter's did not
+        flags = _flag_table(arr, n, arr.size * gens.size)
     rows = max(1, _BLOCK // gens.size)
-    flags = _flag_table(arr, ms.n, arr.size * gens.size)
     for lo in range(0, arr.size, rows):
         prod = np.bitwise_and.outer(arr[lo:lo + rows], gens)
         if not (np.isin(prod, arr) if flags is None else flags[prod.view(np.intp)]).all():
@@ -420,8 +448,9 @@ def is_intersection_closed(ms: ModelSet) -> bool:
 
     Extracts the meet-irreducible members level by level and checks that
     ANDing every member with each of them stays in the set, O(|M| x
-    |extracted|) in all; that suffices whether or not the set is closed,
-    since every member is the AND of the extracted members above it (see
+    (n + |extracted|)) in all, n lookups per member for the single-bit
+    cover filter; that suffices whether or not the set is closed, since
+    every member is the AND of the extracted members above it (see
     :func:`_characteristic`).
     """
     return _characteristic(ms)[1]
@@ -432,15 +461,17 @@ def characteristic_set(ms: ModelSet) -> ModelSet:
 
     A member is characteristic when it is not the AND of other members;
     equivalently, the AND of all strictly greater members differs from it.
-    The members are visited level by level, highest popcount first, and a
-    member is kept iff it is the all-ones vector or the AND of the members
-    already kept above it differs from it, which is the same test
-    (:func:`_characteristic` has the proof), at O(|M| x |charset|) word
-    operations.  The input must be AND-closed (it
-    is meant to be the full model set of a Horn theory), otherwise
-    ValueError is raised; closure is checked in one pass against the kept
-    members, by lookup in a 2^n-byte flag array of the members when
-    :func:`_flag_table` builds one (n <= 24), else by ``np.isin``.
+    A member with two single-bit covers (members equal to it with one more
+    bit on) is their AND, so with a 2^n-byte flag array of the members
+    (:func:`_flag_table`, n <= 24) one pass of |M| x n lookups drops
+    those first.  The rest are visited level by level, highest popcount
+    first, and a member is kept iff it is the all-ones vector or the AND of
+    the members already kept above it differs from it, which is the same
+    test (:func:`_characteristic` has the proof), at O(|M| x (n +
+    |charset|)) word operations.  The input must be AND-closed (it is
+    meant to be the full model set of a Horn theory), otherwise ValueError
+    is raised; closure is checked in one pass against the kept members, by
+    lookup in the flag array when there is one, else by ``np.isin``.
     """
     gens, closed = _characteristic(ms)
     if not closed:

@@ -11,6 +11,8 @@ at n <= 10).
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 import numpy as np
 
 from .core import (Clause, HornTheory, ModelSet, _check_alpha, _check_ball, _check_width, _member_flags,
@@ -54,12 +56,16 @@ def all_models(t: HornTheory) -> ModelSet:
     failure words are the complement of the head row (all ones with no
     head) ANDed with the body rows; they are cleared from the running
     ``ok`` words, which start with the bits past 2^n off (n < 6: one
-    partial word).  After every :data:`_COMPACT` clauses, once at most half
-    the words still hold a model, the dead words and their table columns
-    are dropped; ``place`` keeps each word's place in the cube.  At the end
-    only the nonzero words are unpacked, 64 bytes each, and each survivor
-    is moved to its word's place: a theory with few models never unpacks
-    the 2^n bytes of the cube.
+    partial word).  Clauses are visited by ascending body size, ties in
+    input order: a short body fails on a larger share of the cube, so
+    the short clauses kill most words before the first compaction, and
+    the result does not depend on the order.  After every
+    :data:`_COMPACT` clauses, once at most half the words still hold a
+    model, the dead words and their table columns are dropped; ``place``
+    keeps each word's place in the cube.  At the end only the nonzero
+    words are unpacked, 64 bytes each, and each survivor is moved to its
+    word's place: a theory with few models never unpacks the 2^n bytes of
+    the cube.
     """
     _check_n(t.n)
     table = _bit_table(t.n)
@@ -67,7 +73,8 @@ def all_models(t: HornTheory) -> ModelSet:
     fail = np.empty_like(ok)
     heads, offsets, body = (a.tolist() for a in t.flat)
     place = np.arange(ok.size)
-    for k, (h, lo, hi) in enumerate(zip(heads, offsets, offsets[1:])):
+    for k, c in enumerate(np.argsort(np.diff(t.flat.offsets), kind="stable").tolist()):  # shortest first
+        h, lo, hi = heads[c], offsets[c], offsets[c + 1]
         if h:
             np.invert(table[h - 1], out=fail)
         else:
@@ -97,16 +104,18 @@ def _ball_fold(ms: ModelSet, alpha: int, fold: np.ufunc) -> ModelSet:
     (``np.logical_and`` or ``np.logical_or``) over the alpha-ball of v,
     holds.  The ball size is checked against the neighborhood cap before
     anything is gathered.  Each flip f gathers ``member[v ^ f]`` for all v
-    through an ``intp`` cube index, which numpy uses without a cast."""
+    through an ``intp`` cube index, which numpy uses without a cast; the
+    index is XORed in place from one flip to the next, with no 2^n-sized
+    temporary per flip."""
     alpha = _check_alpha(alpha)
     _check_n(ms.n)
     _check_ball(ms.n, alpha)
     member = _member_flags(ms.bits_array, ms.n)
     idx = np.arange(1 << ms.n, dtype=np.intp)
     acc = member.copy()
-    for f in iter_flip_masks(ms.n, alpha):
-        if f:
-            fold(acc, member[idx ^ f], out=acc)
+    for prev, f in pairwise(iter_flip_masks(ms.n, alpha)):  # the first mask is 0
+        idx ^= prev ^ f  # now v ^ f, in place
+        fold(acc, member[idx], out=acc)
     return ModelSet.from_bits(ms.n, np.flatnonzero(acc))
 
 

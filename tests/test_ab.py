@@ -1,8 +1,13 @@
 """The verdict of tools/ab.py on canned runs: better only with nine tenths
 of the pairs won and medians further apart than the parent's quartiles,
-worse beyond the bound, else unresolved."""
+worse beyond the bound, else unresolved; and its ``--revs`` checkouts,
+made and removed on a throwaway repository."""
 
 import importlib.util
+import re
+import shutil
+import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -43,3 +48,76 @@ def test_checkouts_must_sit_at_paths_of_equal_length(tmp_path, capsys):
     with pytest.raises(SystemExit):
         ab.main([str(tmp_path / "a"), str(tmp_path / "bb"), "--workload", "model-compile", "--seed", "1", "--pairs", "1"])
     assert "equal length" in capsys.readouterr().err
+
+
+FAKE_RUN = '''import json, os
+from pathlib import Path
+with open(os.environ["AB_LOG"], "a") as log:
+    log.write(os.getcwd() + "\\n")
+value = float(Path("value.txt").read_text())
+names = ["setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "ok_frac", "peak_rss_mb"]
+print(json.dumps({"correct": True, "failed": 0, "metrics": {k: {"value": value} for k in names}}))
+'''
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com", "-c", "commit.gpgsign=false",
+                    *args], cwd=repo, check=True, capture_output=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_revs_make_and_remove_their_worktrees(tmp_path, monkeypatch, capsys):
+    # A throwaway repository whose fake benchmark reports value.txt: 2.0 at
+    # the parent revision, 1.0 at the change.
+    repo, scratch, log = tmp_path / "repo", tmp_path / "tmp", tmp_path / "cwd.log"
+    (repo / "perfbench").mkdir(parents=True)
+    scratch.mkdir()
+    (repo / "perfbench" / "run.py").write_text(FAKE_RUN)
+    git(repo, "init", "-q")
+    for value in ("2.0", "1.0"):
+        (repo / "value.txt").write_text(value)
+        git(repo, "add", "-A")
+        git(repo, "commit", "-q", "-m", f"value {value}")
+    monkeypatch.chdir(repo)
+    monkeypatch.setenv("AB_LOG", str(log))
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    assert ab.main(["--revs", "HEAD~1", "HEAD", "--workload", "model-compile", "--seed", "1", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert '"op_p50_ms": 2.0' in out.split("pair 1 change")[0] and '"op_p50_ms": 1.0' in out.split("pair 1 change")[1]
+    assert re.search(r"^op_p50_ms .* 2/2 +better$", out, re.M)
+    assert re.search(r"^ops_per_s .* 0/2 +worse$", out, re.M)
+    # Two sibling checkouts of equal path length, each run in twice, and
+    # both gone afterwards with their temporary directory and git's record.
+    cwds = log.read_text().split()
+    parent, change = Path(cwds[0]), Path(cwds[1])
+    assert sorted(cwds) == sorted([str(parent)] * 2 + [str(change)] * 2)
+    assert (parent.name, change.name) == ("parent", "change") and parent.parent == change.parent
+    assert parent.parent.parent == scratch and len(str(parent)) == len(str(change))
+    assert not any(scratch.iterdir())
+    listed = subprocess.run(["git", "worktree", "list"], cwd=repo, capture_output=True, text=True).stdout
+    assert len(listed.splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_revs_clean_up_after_a_bad_revision(tmp_path, monkeypatch):
+    repo, scratch = tmp_path / "repo", tmp_path / "tmp"
+    repo.mkdir()
+    scratch.mkdir()
+    (repo / "value.txt").write_text("1.0")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "one")
+    monkeypatch.chdir(repo)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    with pytest.raises(SystemExit, match="git worktree add"):
+        ab.main(["--revs", "HEAD", "no-such-rev", "--workload", "model-compile", "--seed", "1", "--pairs", "1"])
+    assert not any(scratch.iterdir())
+    listed = subprocess.run(["git", "worktree", "list"], cwd=repo, capture_output=True, text=True).stdout
+    assert len(listed.splitlines()) == 1
+
+
+def test_dirs_and_revs_exclude_each_other(tmp_path, capsys):
+    for argv in (["--revs", "a", "b", str(tmp_path), str(tmp_path)], [str(tmp_path)], []):
+        with pytest.raises(SystemExit):
+            ab.main(argv + ["--workload", "model-compile", "--seed", "1", "--pairs", "1"])
+        assert "either PARENT_DIR CHANGE_DIR or --revs" in capsys.readouterr().err

@@ -1,25 +1,34 @@
 """A/B runs of the benchmark in two checkouts, with a verdict per metric.
 
 Usage: ``python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload W --seed S
---pairs N``.  The two directories are checkouts the caller made (say with
-``git archive``), at paths of equal length: the setup time of a run follows
-the length of its checkout's path.  Each pair runs the benchmark command of
-``BENCHMARK.json`` with ``--workload W --seed S --seconds <run_seconds>
---trace 0`` once in each checkout, one process at a time; the parent runs
-first in even pairs and the change first in odd ones.  Every run's metrics
-are printed as it ends.  Then, per end-to-end metric of ``BENCHMARK.json``:
-the parent's median and quartiles, the change's median, the pairs the
-change won, and a verdict (:func:`verdict`).  The tool only reads
+--pairs N``, or ``python3 tools/ab.py --revs PARENT CHANGE --workload W
+--seed S --pairs N``.  The two directories are checkouts the caller made
+(say with ``git archive``), at paths of equal length: the setup time of a
+run follows the length of its checkout's path.  With ``--revs`` the tool
+makes the checkouts itself: detached ``git worktree`` checkouts of two
+revisions of the repository in the current directory, in the sibling
+directories ``parent`` and ``change`` of a new temporary directory (set
+``TMPDIR`` to place it), removed with it when the comparison ends or
+fails.  Each pair runs the benchmark command of ``BENCHMARK.json`` with
+``--workload W --seed S --seconds <run_seconds> --trace 0`` once in each
+checkout, one process at a time; the parent runs first in even pairs and
+the change first in odd ones.  Every run's metrics are printed as it
+ends.  Then, per end-to-end metric of ``BENCHMARK.json``: the parent's
+median and quartiles, the change's median, the pairs the change won, and
+a verdict (:func:`verdict`).  Besides the worktrees, the tool only reads
 ``BENCHMARK.json`` and the checkouts' benchmark output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -71,36 +80,73 @@ def run(checkout: Path, command: list[str], args: list[str]) -> dict[str, float]
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    args = parser.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    if len(str(sides["parent"])) != len(str(sides["change"])):
-        parser.error("the two checkouts must be at paths of equal length")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+def git(*args: str) -> None:
+    """Run git in the current directory; a failure stops the comparison."""
+    proc = subprocess.run(["git", *args], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git {' '.join(args)} failed:\n{proc.stderr[-2000:]}")
+
+
+@contextlib.contextmanager
+def worktrees(parent: str, change: str):
+    """Detached worktrees of the revisions ``parent`` and ``change`` at
+    ``<tmp>/parent`` and ``<tmp>/change``, paths of equal length, for the
+    ``with`` block; both and ``<tmp>`` are removed after it."""
+    root = Path(tempfile.mkdtemp(prefix="ab-"))
+    made = []
+    try:
+        for side, rev in (("parent", parent), ("change", change)):
+            git("worktree", "add", "--detach", str(root / side), rev)
+            made.append(root / side)
+        yield made
+    finally:
+        for path in made:
+            git("worktree", "remove", "--force", str(path))
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def compare(parent: Path, change: Path, workload: str, seed: int, pairs: int) -> None:
+    """Run the pairs in the two checkouts and print the runs and the table."""
     bench = json.loads(BENCHMARK.read_text())
-    flags = ["--workload", args.workload, "--seed", str(args.seed),
+    flags = ["--workload", workload, "--seed", str(seed),
              "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+    sides = {"parent": parent, "change": change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run(sides[side], bench["command"], flags))
             print(f"pair {i + 1} {side}: {json.dumps(runs[side][-1], sort_keys=True)}", flush=True)
     print(f"{'metric':<12} {'parent p50':>11} {'parent q1..q3':>21} {'change p50':>11} {'wins':>6}  verdict")
     for metric in bench["end_to_end"]:
         name = metric["name"]
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
-        q1, q3 = quartiles(parent)
-        print(f"{name:<12} {statistics.median(parent):11.4g} {q1:10.4g}..{q3:<10.4g} "
-              f"{statistics.median(change):11.4g} {wins(parent, change, metric['better']):3d}/{args.pairs:<2d} "
-              f"{verdict(parent, change, metric['better'], metric['bound'])}")
+        before = [r[name] for r in runs["parent"]]
+        after = [r[name] for r in runs["change"]]
+        q1, q3 = quartiles(before)
+        print(f"{name:<12} {statistics.median(before):11.4g} {q1:10.4g}..{q3:<10.4g} "
+              f"{statistics.median(after):11.4g} {wins(before, after, metric['better']):3d}/{pairs:<2d} "
+              f"{verdict(before, after, metric['better'], metric['bound'])}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("dirs", type=Path, nargs="*", metavar="DIR", help="PARENT_DIR CHANGE_DIR")
+    parser.add_argument("--revs", nargs=2, metavar=("PARENT", "CHANGE"))
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    if len(args.dirs) != (0 if args.revs else 2):
+        parser.error("give either PARENT_DIR CHANGE_DIR or --revs PARENT CHANGE")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    if args.revs:
+        with worktrees(*args.revs) as (parent, change):
+            compare(parent, change, args.workload, args.seed, args.pairs)
+        return 0
+    parent, change = (d.resolve() for d in args.dirs)
+    if len(str(parent)) != len(str(change)):
+        parser.error("the two checkouts must be at paths of equal length")
+    compare(parent, change, args.workload, args.seed, args.pairs)
     return 0
 
 
