@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -83,30 +84,21 @@ def _finish(decision: Decision, want_witness: bool) -> int:
     return 0 if decision.entailed else 1
 
 
-# (representation, mode) -> route(kb, clause, alpha, method); only
-# exterior-charset takes the enumeration side.  The lambdas look each
-# deduce_* name up at call time, so rebinding a module global (a test's
-# monkeypatch, a profiler's wrapper) reaches the table.
-_ROUTES = {
-    ("formula", "interior"): lambda kb, c, alpha, method: deduce_interior_formula(kb, c, alpha),
-    ("formula", "exterior"): lambda kb, c, alpha, method: deduce_exterior_formula(kb, c, alpha),
-    ("formula", "envelope"): lambda kb, c, alpha, method: deduce_envelope_formula(kb, c, alpha),
-    ("charset", "interior"): lambda kb, c, alpha, method: deduce_interior_charset(kb, c, alpha),
-    ("charset", "exterior"): lambda kb, c, alpha, method: deduce_exterior_charset(
-        kb, c, alpha, method=method
-    ),
-    ("charset", "envelope"): lambda kb, c, alpha, method: deduce_envelope_charset(kb, c, alpha),
-}
-
-
 def cmd_deduce(args: argparse.Namespace) -> int:
     clause = _parse_clause_arg(args.clause)
+    # Each deduce_* name is looked up each time this runs, so rebinding a
+    # module global (a test's monkeypatch, a profiler's wrapper) reaches it.
+    # Only exterior-charset takes the enumeration side.
     if args.theory:
-        kb, rep = _load_theory(args.theory), "formula"
+        kb = _load_theory(args.theory)
+        route = {"interior": deduce_interior_formula, "exterior": deduce_exterior_formula,
+                 "envelope": deduce_envelope_formula}[args.mode]
     else:
-        kb, rep = _load_charset(args.charset), "charset"
-    decision = _ROUTES[rep, args.mode](kb, clause, args.alpha, args.method)
-    return _finish(decision, args.witness)
+        kb = _load_charset(args.charset)
+        route = {"interior": deduce_interior_charset,
+                 "exterior": partial(deduce_exterior_charset, method=args.method),
+                 "envelope": deduce_envelope_charset}[args.mode]
+    return _finish(route(kb, clause, args.alpha), args.witness)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

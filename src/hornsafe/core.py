@@ -19,7 +19,11 @@ Conventions used throughout the package:
   arbitrary-precision ints and accepts much larger ``n``.
 * Each representation has one stored form: a :class:`HornTheory` its flat
   clause arrays (:class:`FlatClauses`), a :class:`ModelSet` one ``uint64``
-  array; ``clauses`` and ``models`` are views of them.
+  array; ``clauses`` and ``models`` are views of them.  One exception: a
+  theory built from :class:`Clause` objects also keeps those objects, less
+  the repeats, beside ``flat``.  Its ``clauses`` then returns the caller's
+  own objects, the first of each repeated clause, with the masks they have
+  cached, and builds none; a parsed theory builds them on first read.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -190,15 +194,18 @@ class Model:
 
 
 @dataclass(frozen=True)
-class Clause:
-    """A disjunction with disjoint positive/negative index sets.
-
-    Horn means at most one positive literal; general (non-Horn) clauses are
-    allowed as queries, only :class:`HornTheory` enforces Horn-ness.
+class _Literals:
+    """Disjoint sets of positive and negative variable indices: the one home
+    of the checks, masks and size shared by :class:`Clause` and
+    :class:`Term`.  The subclasses are not decorated again: the generated
+    ``__init__``, ``__eq__`` (same class only), ``__hash__`` and ``__repr__``
+    read the instance's own class.
     """
 
     pos: frozenset[int] = frozenset()
     neg: frozenset[int] = frozenset()
+    #: What an index in both sets makes of the object, for the error.
+    _overlap: ClassVar[str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pos", frozenset(self.pos))
@@ -208,9 +215,35 @@ class Clause:
                 raise ValueError(f"variable index must be a positive int, got {i!r}")
         if self.pos & self.neg:
             raise ValueError(
-                f"tautological clause: indices {sorted(self.pos & self.neg)} "
+                f"{self._overlap}: indices {sorted(self.pos & self.neg)} "
                 "occur both positively and negatively"
             )
+
+    @property
+    def width(self) -> int:
+        """Largest variable index mentioned (0 when both sets are empty)."""
+        return max((0, *self.pos, *self.neg))
+
+    @cached_property
+    def pos_mask(self) -> int:
+        return index_mask(self.pos)
+
+    @cached_property
+    def neg_mask(self) -> int:
+        return index_mask(self.neg)
+
+    def __len__(self) -> int:
+        return len(self.pos) + len(self.neg)
+
+
+class Clause(_Literals):
+    """A disjunction with disjoint positive/negative index sets.
+
+    Horn means at most one positive literal; general (non-Horn) clauses are
+    allowed as queries, only :class:`HornTheory` enforces Horn-ness.
+    """
+
+    _overlap = "tautological clause"
 
     @classmethod
     def from_literals(cls, literals: Iterable[int]) -> "Clause":
@@ -226,45 +259,22 @@ class Clause:
     def is_horn(self) -> bool:
         return len(self.pos) <= 1
 
-    @property
-    def width(self) -> int:
-        """Largest variable index mentioned (0 for the empty clause)."""
-        return max((0, *self.pos, *self.neg))
-
-    @cached_property
-    def pos_mask(self) -> int:
-        return index_mask(self.pos)
-
-    @cached_property
-    def neg_mask(self) -> int:
-        return index_mask(self.neg)
-
     def literals(self) -> tuple[int, ...]:
         """Signed literals, negatives first, each group ascending."""
         return tuple(-i for i in sorted(self.neg)) + tuple(sorted(self.pos))
-
-    def __len__(self) -> int:
-        return len(self.pos) + len(self.neg)
 
     def __str__(self) -> str:
         return " ".join(str(lit) for lit in self.literals()) or "<empty>"
 
 
-@dataclass(frozen=True)
-class Term:
-    """A conjunction of literals (dual of :class:`Clause`), used for DNF output."""
+class Term(_Literals):
+    """A conjunction of literals (dual of :class:`Clause`), used for DNF
+    output.  It takes the clause's index checks, and an index in both sets
+    raises "contradictory term".  It does not derive from :class:`Clause`:
+    a term is no query, and a type checker rejects one passed to a
+    ``deduce_*`` route."""
 
-    pos: frozenset[int] = frozenset()
-    neg: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", frozenset(self.pos))
-        object.__setattr__(self, "neg", frozenset(self.neg))
-        if self.pos & self.neg:
-            raise ValueError("contradictory term")
-
-    def __len__(self) -> int:
-        return len(self.pos) + len(self.neg)
+    _overlap = "contradictory term"
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -545,7 +555,11 @@ def _check_query(c: Clause, alpha: int, n: int) -> int:
 
 
 def _check_width(c: Clause, n: int) -> None:
-    """The check that ``c`` mentions no variable beyond ``n``."""
+    """The check that ``c`` is a :class:`Clause` and mentions no variable
+    beyond ``n``.  A :class:`Term` has the same sets, masks and width, and
+    would otherwise be read as the clause of its literals."""
+    if not isinstance(c, Clause):
+        raise TypeError(f"expected a Clause, got {type(c).__name__}")
     if c.width > n:
         raise ValueError(f"clause [{c}] mentions x{c.width} but n={n}")
 
@@ -557,11 +571,11 @@ def eval_clause(c: Clause, v: Model) -> bool:
 
 
 def eval_term(t: Term, v: Model) -> bool:
-    """Term satisfaction: every positive index on and every negative index off."""
-    if max(t.pos | t.neg, default=0) > v.n:
+    """Term satisfaction: every positive index on and every negative index
+    off, read from the term's cached masks."""
+    if t.width > v.n:
         raise ValueError("term mentions variables beyond the model")
-    pm = index_mask(t.pos)
-    return v.bits & pm == pm and not v.bits & index_mask(t.neg)
+    return v.bits & t.pos_mask == t.pos_mask and not v.bits & t.neg_mask
 
 
 def iter_flip_masks(n: int, alpha: int) -> Iterator[int]:

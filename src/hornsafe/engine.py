@@ -255,17 +255,17 @@ def charset_entails(charset: ModelSet, c: Clause) -> Decision:
     """Decide entailment of ``c`` from a characteristic set in O(n |charset|).
 
     Let ``v*`` be the minimal vector falsifying ``c`` (exactly N(c) true).
-    The theory entails ``c`` iff the minimal model above ``v*`` is absent or
-    satisfies ``c``; otherwise that model is the countermodel.
+    The theory entails ``c`` iff the minimal model above ``v*`` (the AND of
+    the members above it, :func:`_and_above` on ``c.neg_mask``) is absent or
+    satisfies ``c``; otherwise that model is the countermodel, and the only
+    :class:`Model` the call builds.
     """
     _check_width(c, charset.n)
-    w = min_model_above(charset, Model(charset.n, c.neg_mask))
-    if w is None:
-        return Decision(True)
+    w = _and_above(charset.bits_array, c.neg_mask)
     # w >= v*, so only a positive index of c can still satisfy it.
-    if w.bits & c.pos_mask:
+    if w is None or w & c.pos_mask:
         return Decision(True)
-    return Decision(False, witness=w)
+    return Decision(False, witness=Model(charset.n, w))
 
 
 _BLOCK = 1 << 22  # elements per pairwise block (32 MB of uint64)

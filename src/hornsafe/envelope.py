@@ -43,9 +43,11 @@ def _envelope_test(models: Iterable[int], c: Clause, alpha: int, n: int) -> Deci
     the falsifying cone of c (:func:`~hornsafe.exterior._falsifier_near`)
     is the witness; per-index copies of it stay in the alpha-neighborhood
     and AND to that copy.  Otherwise the models with exactly alpha such
-    off-bits answer NO when their off sets cover P(c) (condition (ii)), with
-    the AND, over each j in P(c), of the first of them with x_j off (just
-    the first of them when P(c) is empty), N(c) set, as the witness.
+    off-bits answer NO when their off sets cover P(c) (condition (ii)).
+    Its witness is the AND, over each j in P(c), of the first of them with
+    x_j off (just the first of them when P(c) is empty), pushed into the
+    cone by the same :func:`~hornsafe.exterior._falsifier_near`: the AND
+    has all of P(c) off already, so the push only sets N(c).
     """
     boundary: list[int] = []  # models with exactly alpha off-bits inside N(c)
     for m in models:
@@ -63,7 +65,7 @@ def _envelope_test(models: Iterable[int], c: Clause, alpha: int, n: int) -> Deci
         if donor is None:
             return Decision(True)  # no off set contains x_j
         witness_bits &= donor
-    return Decision(False, witness=Model(n, witness_bits | c.neg_mask))
+    return Decision(False, witness=_falsifier_near(witness_bits, c, n))
 
 
 def deduce_envelope_charset(charset: ModelSet, c: Clause, alpha: int) -> Decision:

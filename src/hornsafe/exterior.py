@@ -87,18 +87,13 @@ def _exterior_neg(
             needed=total, cap=cap,
         )
     nlist = sorted(c.neg)
-    nn = len(nlist)
-    nset = frozenset(nlist)
-    pos_bits = c.pos_mask
-    for drop in range(min(alpha, nn) + 1):
+    for drop in range(min(alpha, len(nlist)) + 1):
+        need = alpha - drop + 1  # alpha - |N(c)| + |S| + 1
         for removed in combinations(nlist, drop):
-            s = nset - frozenset(removed)
-            w = above(s)
+            w = above(c.neg - frozenset(removed))
             if w is None:
                 continue  # the purely negative subclause over S is entailed
-            need = alpha - nn + len(s) + 1
-            good = (w.bits & pos_bits).bit_count()
-            if good < need:
+            if (w.bits & c.pos_mask).bit_count() < need:
                 return Decision(False, witness=_falsifier_near(w.bits, c, n))
     return Decision(True)
 
@@ -121,7 +116,7 @@ def _predicted_pos_count(c: Clause, alpha: int, k: int) -> int:
     pn = len(c.pos)
     total = 0
     for s in range(max(0, pn - alpha), pn + 1):
-        total += comb(pn, s) * (k ** s if s else 1)
+        total += comb(pn, s) * k ** s
         if total > (1 << 62):
             break
     return total

@@ -1,9 +1,12 @@
 """The verdict of tools/ab.py on canned runs: better only with nine tenths
 of the pairs won and medians further apart than the parent's quartiles,
-worse beyond the bound, else unresolved; and its ``--revs`` checkouts,
-made and removed on a throwaway repository."""
+worse beyond the bound; else unchanged when the parent's quartiles lie
+within the bound, and unresolved when they do not, unless every change run
+beats every parent run; and its ``--revs`` checkouts, made and removed on
+a throwaway repository."""
 
 import importlib.util
+import random
 import re
 import shutil
 import subprocess
@@ -30,16 +33,44 @@ def test_quartiles_and_wins():
 @pytest.mark.parametrize("change, better, verdict", [
     ([p - 0.5 for p in PARENT], "lower", "better"),                  # 10 of 10, 0.5 apart > IQR 0.1625
     ([p - 0.5 for p in PARENT[:9]] + [3.5], "lower", "better"),      # 9 of 10 still counts
-    ([p - 0.5 for p in PARENT[:8]] + [3.5, 3.5], "lower", "unresolved"),  # 8 of 10 does not
-    ([p - 0.1 for p in PARENT], "lower", "unresolved"),              # every pair won, 0.1 < IQR
+    ([p - 0.5 for p in PARENT[:8]] + [3.5, 3.5], "lower", "unchanged"),  # 8 of 10 does not
+    ([p - 0.1 for p in PARENT], "lower", "unchanged"),               # every pair won, 0.1 < IQR
     ([p + 0.5 for p in PARENT], "higher", "better"),
-    ([p + 0.5 for p in PARENT], "lower", "unresolved"),              # worse, within the 25 % bound
+    ([p + 0.5 for p in PARENT], "lower", "unchanged"),               # worse, within the 25 % bound
     ([p + 0.8 for p in PARENT], "lower", "worse"),                   # 0.8 > 25 % of 3.0
     ([p * 0.7 for p in PARENT], "higher", "worse"),
-    (PARENT, "lower", "unresolved"),                                 # against itself
+    (PARENT, "lower", "unchanged"),                                  # against itself
 ])
 def test_verdict_on_canned_runs(change, better, verdict):
     assert ab.verdict(PARENT, change, better, 0.25) == verdict
+
+
+# Median 130, q1..q3 100..160: the IQR of 60 exceeds 25 % of the median.
+WIDE = [100, 160, 100, 160, 100, 160, 100, 160, 100, 160]
+
+
+@pytest.mark.parametrize("change, better, verdict", [
+    ([99] * 10, "lower", "better"),             # every change run beats every parent run
+    ([99] * 9 + [101], "lower", "unresolved"),  # 9 of 10 won, but 31 < IQR and one run does not beat all
+    ([161] * 10, "higher", "better"),
+    ([150] * 10, "higher", "unresolved"),
+    ([200] * 10, "lower", "worse"),             # beyond the bound, whatever the spread
+    ([90] * 10, "higher", "worse"),
+])
+def test_verdict_with_a_parent_spread_wider_than_the_bound(change, better, verdict):
+    assert ab.verdict(WIDE, change, better, 0.25) == verdict
+
+
+@pytest.mark.parametrize("runs", [PARENT, WIDE, [1.0] * 10, [5.0, 1.0, 9.0, 2.0, 8.0, 3.0], [7.0]])
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_a_revision_against_itself_is_never_better_or_worse(runs, better):
+    # The same runs, in their order and in others: unchanged or unresolved.
+    orders = [runs, runs[::-1], runs[1:] + runs[:1]]
+    orders += [random.Random(seed).sample(runs, len(runs)) for seed in range(20)]
+    for change in orders:
+        assert ab.verdict(runs, change, better, 0.25) in ("unchanged", "unresolved")
+    assert ab.verdict(PARENT, PARENT, better, 0.25) == "unchanged"
+    assert ab.verdict(WIDE, WIDE[::-1], better, 0.25) == "unresolved"
 
 
 def test_checkouts_must_sit_at_paths_of_equal_length(tmp_path, capsys):

@@ -347,3 +347,14 @@ def test_block_restarts_scan_fewer_balls(monkeypatch):
     # x11: one restart and the final ball, against two restarts.
     entailed, _, scans128 = counts[128][10]
     assert not entailed and (scans128, counts[1][10][2]) == (2, 3)
+
+
+def test_witnesses_break_ties_inside_vstar_by_fewest_zeros():
+    # v* = {x1}.  Both members have x1 on, so they tie inside v*; 1110
+    # (bits 7) has one zero and 1000 (bits 1) three, and 1000 comes first
+    # in the set's order.  x4 is off in both: the tiebreak picks 1110.  No
+    # member has x1 off, so the first in the tiebreak order, 1110, stands in.
+    members = ModelSet.from_bits(4, [1, 7]).bits_array
+    assert members.tolist() == [1, 7]
+    scan = interior._BallScan(members, 4, 1, 5)
+    assert scan.witnesses(0b0001).tolist() == [7, 1, 1, 7]

@@ -23,7 +23,7 @@ from hornsafe import (
     serialize_horn_cnf,
     serialize_model_set,
 )
-from hornsafe.core import index_mask, mask_indices
+from hornsafe.core import Decision, index_mask, mask_indices
 from conftest import EX2_TEXT
 
 
@@ -349,3 +349,63 @@ class TestBitPacking:
         # by numpy: both check first.
         with pytest.raises(ValueError, match=f"^variable index must be positive, got {bad}$"):
             index_mask([*range(1, k), bad])
+
+
+class TestLiteralSets:
+    """Clause and Term share one base: the same index checks, masks, width
+    and size; only the overlap message names the object."""
+
+    @pytest.mark.parametrize("cls", [Clause, Term])
+    @pytest.mark.parametrize("sets", [{"pos": {0}}, {"neg": {-1}}, {"pos": {"a"}}, {"neg": {np.int64(2)}}])
+    def test_rejects_an_index_that_is_not_a_positive_int(self, cls, sets):
+        with pytest.raises(ValueError, match="variable index must be a positive int"):
+            cls(**sets)
+
+    def test_overlap_messages(self):
+        with pytest.raises(ValueError, match=r"^tautological clause: indices \[2\]"):
+            Clause(pos={2, 3}, neg={1, 2})
+        with pytest.raises(ValueError, match=r"^contradictory term: indices \[1, 2\]"):
+            Term(pos={1, 2}, neg={1, 2})
+
+    def test_term_width_masks_and_len(self):
+        t = Term(pos=[3, 1], neg={4})
+        assert (t.pos, t.neg) == (frozenset({1, 3}), frozenset({4}))
+        assert (t.width, t.pos_mask, t.neg_mask, len(t)) == (4, 0b101, 0b1000, 3)
+        assert len(Term()) == 0 and Term().width == 0
+
+    def test_term_is_not_a_clause(self):
+        assert not isinstance(Term(), Clause) and not isinstance(Clause(), Term)
+        assert Term(pos={1}) != Clause(pos={1})
+        assert repr(Term(pos={1})) == "Term(pos=frozenset({1}), neg=frozenset())"
+
+    def test_eval_term_rejects_a_term_wider_than_the_model(self):
+        with pytest.raises(ValueError, match="beyond the model"):
+            eval_term(Term(neg={5}), Model.from_string("0101"))
+        assert eval_term(Term(), Model.from_string("0"))
+
+
+class TestOtherTypes:
+    def test_equality_with_another_type_is_false(self, ex2):
+        assert (ex2 == 3) is False and (ex2 != 3) is True
+        assert (ModelSet(2) == 3) is False
+
+    def test_decision_truth_is_its_answer(self):
+        assert not Decision(False) and Decision(False).answer == "NO"
+        assert Decision(True) and Decision(True).answer == "YES"
+
+
+def test_a_term_is_refused_where_a_clause_is_checked(ex2, ex2_charset):
+    from hornsafe import (charset_entails, deduce_envelope_charset, deduce_envelope_formula,
+                          deduce_exterior_charset, deduce_exterior_formula, deduce_interior_charset,
+                          deduce_interior_formula, entails, oracle_deduce)
+
+    t = Term(pos={3}, neg={1})
+    calls = [lambda: entails(ex2, t), lambda: charset_entails(ex2_charset, t),
+             lambda: eval_clause(t, Model(4, 0)), lambda: oracle_deduce(ex2_charset, t)]
+    calls += [lambda r=r: r(ex2, t, 1) for r in
+              (deduce_interior_formula, deduce_exterior_formula, deduce_envelope_formula)]
+    calls += [lambda r=r: r(ex2_charset, t, 1) for r in
+              (deduce_interior_charset, deduce_exterior_charset, deduce_envelope_charset)]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected a Clause, got Term"):
+            call()

@@ -187,3 +187,36 @@ def test_over_cap_query_on_inconsistent_theory_matches_charset():
         d = deduce_exterior_formula(t, wide, alpha, cap=1)
         assert d == deduce_exterior_charset(cs, wide, alpha, cap=1)
         assert d.entailed
+
+
+# members, query, alpha, the side auto picks.  The predicted pos-side count
+# is sum over |S| in |P(c)|-alpha..|P(c)| of C(|P(c)|, |S|) * k^|S| for k
+# members; the neg side's is the subsets of N(c) within alpha of N(c).  The
+# first two cases pick pos by 1 < 4 and 1 + 2 < 5, and would pick neg
+# under one more factor of k.
+AUTO_SIDES = [
+    ([63, 31, 47, 55, 59], Clause(neg={1, 2, 3}), 1, "_exterior_charset_pos"),
+    ([63, 31], Clause(pos={5}, neg={1, 2, 3, 4}), 1, "_exterior_charset_pos"),
+    ([63, 31, 47, 55, 59], Clause(pos={4}, neg={1, 2, 3}), 1, "_exterior_neg"),    # 4 <= 1 + 5
+    ([63], Clause(pos={6}, neg={1, 2, 3, 4, 5}), 2, "_exterior_charset_pos"),      # 2 < 16
+    ([63], Clause(pos={4, 5, 6}, neg={1}), 0, "_exterior_neg"),                    # 1 <= 1: ties go neg
+]
+
+
+@pytest.mark.parametrize("members, c, alpha, side", AUTO_SIDES)
+def test_auto_picks_the_side_with_the_smaller_predicted_enumeration(monkeypatch, members, c, alpha, side):
+    from hornsafe import exterior
+
+    calls = []
+    for name in ("_exterior_neg", "_exterior_charset_pos"):
+        real = getattr(exterior, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(exterior, name, spy)
+    charset = ModelSet.from_bits(6, members)
+    d = deduce_exterior_charset(charset, c, alpha)
+    assert calls == [side]
+    assert d == deduce_exterior_charset(charset, c, alpha, method=side.split("_")[-1])

@@ -219,3 +219,23 @@ class TestReductionContracts:
                 assert deduce_exterior_charset(charset, clause, alpha).entailed == (
                     not has_vertex_cover(g, k)
                 )
+
+
+class TestArgumentChecks:
+    def test_graph_needs_a_vertex(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Graph(0)
+
+    @pytest.mark.parametrize("spec", ["x3", "k", "kx", "k0"])
+    def test_bad_graph_specs(self, spec):
+        with pytest.raises(ValueError, match="bad graph spec"):
+            named_graph(spec)
+
+    def test_cycles_need_three_vertices(self):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            named_graph("c2")
+
+    @pytest.mark.parametrize("k", [0, 5, -1])
+    def test_interior_consistency_k_outside_1_to_nv(self, k):
+        with pytest.raises(ValueError, match=r"k must be in 1\.\.4"):
+            interior_consistency_instance(named_graph("p4"), k)

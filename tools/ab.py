@@ -15,8 +15,9 @@ checkout, one process at a time; the parent runs first in even pairs and
 the change first in odd ones.  Every run's metrics are printed as it
 ends.  Then, per end-to-end metric of ``BENCHMARK.json``: the parent's
 median and quartiles, the change's median, the pairs the change won, and
-a verdict (:func:`verdict`).  Besides the worktrees, the tool only reads
-``BENCHMARK.json`` and the checkouts' benchmark output.
+a verdict (:func:`verdict`): better, worse, unchanged or unresolved.
+Besides the worktrees, the tool only reads ``BENCHMARK.json`` and the
+checkouts' benchmark output.
 """
 
 from __future__ import annotations
@@ -57,14 +58,22 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     than ``bound`` (a fraction of the parent's median); ``better`` when the
     change wins at least :data:`WIN_SHARE` of the pairs and its median is
     further from the parent's, on the better side, than the parent's
-    interquartile range; else ``unresolved``."""
+    interquartile range.  Otherwise ``unchanged`` when that range is within
+    ``bound`` times the parent's median, so the runs could have shown a
+    move the size of the bound.  A wider range reads ``unresolved``, unless
+    every change run beats every parent run, which reads ``better``."""
+    sign = 1 if better == "higher" else -1
     p, c = statistics.median(parent), statistics.median(change)
-    gain = c - p if better == "higher" else p - c
+    gain = (c - p) * sign
     if gain < -bound * abs(p):
         return "worse"
     q1, q3 = quartiles(parent)
     if wins(parent, change, better) >= WIN_SHARE * len(parent) and gain > q3 - q1:
         return "better"
+    if q3 - q1 <= bound * abs(p):
+        return "unchanged"
+    if min(x * sign for x in change) > max(x * sign for x in parent):
+        return "better"  # every change run beats every parent run
     return "unresolved"
 
 
