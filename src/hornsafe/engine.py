@@ -52,6 +52,12 @@ class HornPropagator:
     the facts and the forced trues, and then touches only the occurrence
     lists of variables it sets true: O(theory size) at worst (Dowling &
     Gallier, 1984), times the log factor of the loop's candidate heap.
+    The copy is O(m) on every call, so it serves only the alpha >= 1
+    probes of the exterior and envelope formula routes and direct callers.
+    :func:`entails` and those routes at alpha = 0 read the alpha = 0
+    interior base instead, whose counters are copied once per theory:
+    after the first query, each costs the clauses its literals touch, plus
+    a copy of n + 1 positions and of the base derivation, not of m counters.
 
     ``interior_bases`` maps alpha to the query-independent part of the
     alpha-interior deduction (:func:`hornsafe.interior.interior_base`),
@@ -200,14 +206,20 @@ def entails(t: HornTheory, c: Clause) -> Decision:
     """Decide ``t |= c`` for an arbitrary clause ``c`` (Horn or not).
 
     The clause fails in some model of ``t`` exactly when the theory stays
-    satisfiable with N(c) pinned true and P(c) pinned false; the minimal
-    such model is the countermodel reported on NO.
+    satisfiable with N(c) pinned true and P(c) pinned false; the least
+    model above N(c) is then the countermodel reported on NO.
+
+    The 0-interior of a theory is the theory, so this is the answer and
+    witness of :func:`~hornsafe.interior.deduce_interior_formula` at
+    alpha = 0, without its trace: the first call builds the alpha = 0
+    interior base (one propagation from the facts, kept on the index), and
+    each call after it costs the clauses its literals touch, with no copy
+    of the m counters that :meth:`HornPropagator.minimal_model` makes.
     """
-    _check_width(c, t.n)
-    m = minimal_model(t, c.neg, c.pos)
-    if m is None:
-        return Decision(True)
-    return Decision(False, witness=m)
+    from .interior import deduce_interior_formula  # interior imports this module
+
+    d = deduce_interior_formula(t, c, 0)
+    return Decision(d.entailed, witness=d.witness)
 
 
 def min_model_above(charset: ModelSet, v: Model) -> Optional[Model]:

@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterable
 
 from .core import Clause, Decision, EnumerationLimitError, HornTheory, Model, ModelSet, _check_query
-from .engine import propagator
+from .engine import entails, propagator
 from .exterior import SUBSET_CAP, _falsifier_near
 
 
@@ -87,9 +87,8 @@ def deduce_envelope_formula(
     :func:`_envelope_test` over the minimal models of the satisfiable
     probes, one probe per subset of N(c), produced lazily in two steps:
 
-    * step 1, only when alpha >= 1: subsets of size
-      ``max(|N(c)| - alpha + 1, 0)`` (one unconstrained probe when
-      alpha > |N(c)|);
+    * step 1: subsets of size ``max(|N(c)| - alpha + 1, 0)`` (one
+      unconstrained probe when alpha > |N(c)|);
     * step 2, only when alpha <= |N(c)|: subsets of size ``|N(c)| - alpha``.
 
     Each step checks its subset count against ``cap`` just before its first
@@ -106,13 +105,23 @@ def deduce_envelope_formula(
     of a branch has the largest off set in it, so the branch minima cover
     P(c) iff all those models do (condition (ii)).  Unsatisfiable branches
     contribute nothing.
+
+    At alpha = 0 the exterior of a Horn theory is the theory, and so is
+    its Horn envelope (Env(Ext_0) = Int_0 = Sigma), so the query is plain
+    entailment and the answer is :func:`~hornsafe.engine.entails`, which
+    reads the cached alpha = 0 interior base instead of propagating.  The
+    decision is the test's: step 2's one probe is N(c), and the NO witness
+    of condition (ii), the least model above N(c), is entails' too.
+    Nothing is enumerated there, so ``cap`` does not apply at alpha = 0.
     """
     n = t.n
     alpha = _check_query(c, alpha, n)
+    if not alpha:
+        return entails(t, c)
     prop = propagator(t)
     nlist = sorted(c.neg)
     nn = len(nlist)
-    steps = [(1, max(nn - alpha + 1, 0))] if alpha else []
+    steps = [(1, max(nn - alpha + 1, 0))]
     if alpha <= nn:
         steps.append((2, nn - alpha))
 

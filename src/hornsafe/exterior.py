@@ -43,7 +43,7 @@ from .core import (
     _check_query,
     index_mask,
 )
-from .engine import min_model_above, propagator
+from .engine import entails, min_model_above, propagator
 
 SUBSET_CAP = 1 << 20
 
@@ -107,8 +107,18 @@ def deduce_exterior_formula(
     as the "minimal model above S" oracle: one propagation per subset S of
     N(c) with ``|S| >= |N(c)| - alpha``, at most ``cap`` of them.  NO
     answers carry a countermodel from the exterior.
+
+    At alpha = 0 the exterior of a Horn theory is the theory (Ext_0 =
+    Int_0 = Sigma), so the query is plain entailment and the answer is
+    :func:`~hornsafe.engine.entails`, which reads the cached alpha = 0
+    interior base instead of propagating.  The decision is the loop's:
+    its one subset is N(c), and its NO witness, the least model above
+    N(c), is entails' too.  Nothing is enumerated there, so ``cap`` does
+    not apply at alpha = 0.
     """
     alpha = _check_query(c, alpha, t.n)
+    if not alpha:
+        return entails(t, c)
     return _exterior_neg(propagator(t).minimal_model, c, alpha, t.n, cap)
 
 

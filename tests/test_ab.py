@@ -2,8 +2,9 @@
 of the pairs won and medians further apart than the parent's quartiles,
 worse beyond the bound; else unchanged when the parent's quartiles lie
 within the bound, and unresolved when they do not, unless every change run
-beats every parent run; and its ``--revs`` checkouts, made and removed on
-a throwaway repository."""
+beats every parent run; and better only when the one-sided sign test of
+the wins gives p <= 0.05, else unresolved.  And its ``--revs`` checkouts,
+made and removed on a throwaway repository."""
 
 import importlib.util
 import random
@@ -43,6 +44,31 @@ def test_quartiles_and_wins():
 ])
 def test_verdict_on_canned_runs(change, better, verdict):
     assert ab.verdict(PARENT, change, better, 0.25) == verdict
+
+
+def test_sign_p():
+    assert ab.sign_p(9, 10) == pytest.approx(11 / 1024)
+    assert ab.sign_p(5, 5) == 1 / 32
+    assert ab.sign_p(3, 3) == 0.125
+    assert ab.sign_p(4, 4) == 0.0625
+    assert ab.sign_p(8, 10) == pytest.approx(56 / 1024)
+    assert ab.sign_p(0, 7) == 1.0
+
+
+# Three or four pairs, each won by far: the gain shows, but 3 of 3 (p =
+# 0.125) and 4 of 4 (p = 0.0625) can be chance; 5 of 5 (p = 0.031) cannot.
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    ([36.43, 36.51, 36.59], [36.27, 36.27, 36.27], "lower", "unresolved"),
+    ([3.0, 3.1, 2.9, 3.0], [2.0, 2.1, 1.9, 2.0], "lower", "unresolved"),
+    ([3.0, 3.1, 2.9, 3.0, 3.05], [2.0, 2.1, 1.9, 2.0, 2.05], "lower", "better"),
+    ([3.0, 3.1, 2.9], [4.0, 4.1, 3.9], "higher", "unresolved"),
+    ([100, 160, 100], [99, 99, 99], "lower", "unresolved"),         # every run beats, 3 of 3
+    ([100, 160, 100, 160, 100], [99] * 5, "lower", "better"),       # every run beats, 5 of 5
+    ([3.0, 3.1, 2.9], [3.0, 3.1, 2.9], "lower", "unchanged"),
+    ([3.0, 3.1, 2.9], [4.0, 4.1, 3.9], "lower", "worse"),           # worse needs no sign test
+])
+def test_few_pairs_do_not_read_better(parent, change, better, verdict):
+    assert ab.verdict(parent, change, better, 0.25) == verdict
 
 
 # Median 130, q1..q3 100..160: the IQR of 60 exceeds 25 % of the median.
@@ -112,16 +138,17 @@ def test_revs_make_and_remove_their_worktrees(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(repo)
     monkeypatch.setenv("AB_LOG", str(log))
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    assert ab.main(["--revs", "HEAD~1", "HEAD", "--workload", "model-compile", "--seed", "1", "--pairs", "2"]) == 0
+    # Five pairs: the fewest whose wins can pass the sign test.
+    assert ab.main(["--revs", "HEAD~1", "HEAD", "--workload", "model-compile", "--seed", "1", "--pairs", "5"]) == 0
     out = capsys.readouterr().out
     assert '"op_p50_ms": 2.0' in out.split("pair 1 change")[0] and '"op_p50_ms": 1.0' in out.split("pair 1 change")[1]
-    assert re.search(r"^op_p50_ms .* 2/2 +better$", out, re.M)
-    assert re.search(r"^ops_per_s .* 0/2 +worse$", out, re.M)
-    # Two sibling checkouts of equal path length, each run in twice, and
-    # both gone afterwards with their temporary directory and git's record.
+    assert re.search(r"^op_p50_ms .* 5/5 +0\.0312 +better$", out, re.M)
+    assert re.search(r"^ops_per_s .* 0/5 +1 +worse$", out, re.M)
+    # Two sibling checkouts of equal path length, each run in five times,
+    # and both gone afterwards with their temporary directory and git's record.
     cwds = log.read_text().split()
     parent, change = Path(cwds[0]), Path(cwds[1])
-    assert sorted(cwds) == sorted([str(parent)] * 2 + [str(change)] * 2)
+    assert sorted(cwds) == sorted([str(parent)] * 5 + [str(change)] * 5)
     assert (parent.name, change.name) == ("parent", "change") and parent.parent == change.parent
     assert parent.parent.parent == scratch and len(str(parent)) == len(str(change))
     assert not any(scratch.iterdir())

@@ -12,6 +12,9 @@ from hornsafe import (
     ModelSet,
     characteristic_set,
     charset_entails,
+    deduce_envelope_formula,
+    deduce_exterior_formula,
+    deduce_interior_formula,
     entails,
     intersection_closure,
     is_intersection_closed,
@@ -19,7 +22,7 @@ from hornsafe import (
     minimal_model,
     random_horn,
 )
-from hornsafe.engine import _unique
+from hornsafe.engine import HornPropagator, _unique
 from hornsafe.oracle import all_models, oracle_deduce
 from conftest import random_query_clause
 
@@ -80,6 +83,29 @@ class TestEntails:
 
     def test_non_horn_query_allowed(self, ex2):
         assert entails(ex2, Clause(pos={3, 4}, neg={2})).entailed
+
+    def test_alpha_0_answers_make_no_propagation_call(self, monkeypatch):
+        # entails and the alpha = 0 exterior and envelope routes read the
+        # alpha = 0 interior base; only alpha >= 1 probes propagate.
+        calls = []
+        probe = HornPropagator.minimal_model
+
+        def spy(self, *args):
+            calls.append(args)
+            return probe(self, *args)
+
+        monkeypatch.setattr(HornPropagator, "minimal_model", spy)
+        rng = random.Random(2501)
+        t = random_horn(12, 15, 3, seed=7)  # consistent: both answers occur
+        deduce_interior_formula(t, Clause(), 0)  # the base exists from here on
+        answers = set()
+        for _ in range(60):
+            c = random_query_clause(12, rng)
+            for d in (entails(t, c), deduce_exterior_formula(t, c, 0), deduce_envelope_formula(t, c, 0)):
+                answers.add(d.entailed)
+        assert calls == [] and answers == {True, False}
+        deduce_exterior_formula(t, Clause(pos={1}, neg={2}), 1)
+        assert calls
 
 
 class TestMinModelAbove:

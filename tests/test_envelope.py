@@ -56,6 +56,12 @@ class TestDeduceEnvelopeFormula:
         # 0000 is a model, so x3 is not entailed even by the 0-envelope.
         assert not deduce_envelope_formula(ex2, Clause(pos={3}), 0).entailed
 
+    def test_cap_does_not_apply_at_alpha_0(self, ex2):
+        # The 0-envelope is the theory: plain entailment, nothing enumerated.
+        for c in (Clause(pos={4}, neg={1}), Clause(pos={3}, neg={1}), Clause(neg={1, 2, 3, 4})):
+            assert deduce_envelope_formula(ex2, c, 0, cap=0) == entails(ex2, c)
+        assert not deduce_envelope_formula(ex2, Clause(pos={4}, neg={1}), 0, cap=0).entailed
+
     def test_negative_theory_collapses_to_exterior(self):
         rng = random.Random(66)
         for _ in range(80):

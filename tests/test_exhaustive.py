@@ -9,9 +9,10 @@ derives everything it compares against from M itself, by enumeration over
 the 2^n vectors: the Horn CNF of M (every Horn clause M satisfies), its
 characteristic models, and the interior, exterior and envelope model sets.  Nothing here goes through ``engine`` or ``oracle``,
 so the optimised code is never checked against itself, with one deliberate
-exception: the alpha = 0 interior route is also compared with ``entails``,
-the identity behind their one shared propagation loop (``entails`` itself is
-checked against enumeration, like every route).
+exception: ``entails`` and the alpha = 0 exterior and envelope routes, which
+all answer from the alpha = 0 interior base, are also compared with the
+decision built from ``minimal_model``, the other way into their one shared
+propagation loop (every route is checked against enumeration too).
 
 Each formula route answers on two theories with equal clauses: one built
 from the clause list and one parsed back from its text, so both sources of
@@ -38,6 +39,7 @@ import pytest
 import hornsafe.interior
 from hornsafe import (
     Clause,
+    Decision,
     HornTheory,
     Model,
     ModelSet,
@@ -323,4 +325,28 @@ def test_minimal_model_and_the_alpha_0_interior_on_every_theory_at_n3():
                 got, want = deduce_interior_formula(t, c, 0), entails(t, c)
                 if (got.entailed, got.witness) != (want.entailed, want.witness):
                     bad.append((sorted(members), source, str(c)))
+    assert bad == [], bad[:10]
+
+
+def test_entailment_and_the_alpha_0_routes_match_minimal_model_at_n3():
+    # At alpha = 0 exterior and envelope are the theory itself: entails and
+    # both routes answer from the alpha = 0 interior base, and each must
+    # equal the whole decision unit propagation gives, YES when no model
+    # contains N(c) and misses P(c), else NO with the least such model.
+    n = 3
+    bad = []
+    checked = 0
+    for members in _and_closed_sets(n):
+        built = _horn_cnf(n, members)
+        for source, t in (("built", built), ("parsed", parse_horn_cnf(serialize_horn_cnf(built)))):
+            for c in _clauses(n):
+                m = minimal_model(t, c.neg, c.pos)
+                want = Decision(True) if m is None else Decision(False, witness=m)
+                for route, got in (("entails", entails(t, c)),
+                                   ("exterior", deduce_exterior_formula(t, c, 0)),
+                                   ("envelope", deduce_envelope_formula(t, c, 0))):
+                    checked += 1
+                    if got != want:
+                        bad.append((sorted(members), source, str(c), route))
+    assert checked == 122 * 2 * 27 * 3
     assert bad == [], bad[:10]

@@ -45,6 +45,12 @@ class TestDeduceExteriorFormula:
         with pytest.raises(EnumerationLimitError):
             deduce_exterior_formula(t, wide, 20, cap=100)
 
+    def test_cap_does_not_apply_at_alpha_0(self, ex2):
+        # The 0-exterior is the theory: plain entailment, nothing enumerated.
+        for c in (Clause(pos={4}, neg={1}), Clause(pos={3}, neg={1}), Clause(neg={1, 2, 3, 4})):
+            assert deduce_exterior_formula(ex2, c, 0, cap=0) == entails(ex2, c)
+        assert not deduce_exterior_formula(ex2, Clause(pos={4}, neg={1}), 0, cap=0).entailed
+
     def test_duality_with_clause_interior(self):
         # exterior(t, a) |= c  iff  t entails every conjunct of interior(c, a).
         rng = random.Random(909)

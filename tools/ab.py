@@ -14,8 +14,9 @@ fails.  Each pair runs the benchmark command of ``BENCHMARK.json`` with
 checkout, one process at a time; the parent runs first in even pairs and
 the change first in odd ones.  Every run's metrics are printed as it
 ends.  Then, per end-to-end metric of ``BENCHMARK.json``: the parent's
-median and quartiles, the change's median, the pairs the change won, and
-a verdict (:func:`verdict`): better, worse, unchanged or unresolved.
+median and quartiles, the change's median, the pairs the change won, the
+one-sided sign-test p of those wins (:func:`sign_p`), and a verdict
+(:func:`verdict`): better, worse, unchanged or unresolved.
 Besides the worktrees, the tool only reads ``BENCHMARK.json`` and the
 checkouts' benchmark output.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -35,6 +37,9 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 #: Share of the pairs the change must win before a gain is claimed.
 WIN_SHARE = 0.9
+#: Largest sign-test p (:func:`sign_p`) at which a gain is claimed: 5 of 5
+#: pairs won gives 0.031 and 9 of 10 gives 0.011, but 3 of 3 gives 0.125.
+SIGN_P = 0.05
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -53,28 +58,39 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum((c - p) * sign > 0 for p, c in zip(parent, change))
 
 
+def sign_p(won: int, pairs: int) -> float:
+    """One-sided sign-test p of ``won`` wins in ``pairs`` pairs: the chance
+    of at least that many when each pair is a fair coin.  A tie counts as
+    a pair not won, which only makes the test stricter."""
+    return sum(math.comb(pairs, k) for k in range(won, pairs + 1)) / 2 ** pairs
+
+
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """``worse`` when the change's median is worse than the parent's by more
-    than ``bound`` (a fraction of the parent's median); ``better`` when the
-    change wins at least :data:`WIN_SHARE` of the pairs and its median is
-    further from the parent's, on the better side, than the parent's
-    interquartile range.  Otherwise ``unchanged`` when that range is within
-    ``bound`` times the parent's median, so the runs could have shown a
-    move the size of the bound.  A wider range reads ``unresolved``, unless
-    every change run beats every parent run, which reads ``better``."""
+    than ``bound`` (a fraction of the parent's median).  The runs show a
+    gain when the change wins at least :data:`WIN_SHARE` of the pairs and
+    its median is further from the parent's, on the better side, than the
+    parent's interquartile range; or when that range is wider than
+    ``bound`` times the parent's median and every change run beats every
+    parent run.  A shown gain reads ``better`` when the sign test of the
+    wins gives p at most :data:`SIGN_P`, else ``unresolved``: with fewer
+    than five pairs no gain reads ``better``.  With no gain shown, a range
+    within ``bound`` times the parent's median reads ``unchanged``, since
+    the runs could have shown a move the size of the bound, and a wider
+    one ``unresolved``."""
     sign = 1 if better == "higher" else -1
     p, c = statistics.median(parent), statistics.median(change)
     gain = (c - p) * sign
     if gain < -bound * abs(p):
         return "worse"
     q1, q3 = quartiles(parent)
-    if wins(parent, change, better) >= WIN_SHARE * len(parent) and gain > q3 - q1:
-        return "better"
-    if q3 - q1 <= bound * abs(p):
-        return "unchanged"
-    if min(x * sign for x in change) > max(x * sign for x in parent):
-        return "better"  # every change run beats every parent run
-    return "unresolved"
+    won = wins(parent, change, better)
+    if not (won >= WIN_SHARE * len(parent) and gain > q3 - q1):
+        if q3 - q1 <= bound * abs(p):
+            return "unchanged"
+        if min(x * sign for x in change) <= max(x * sign for x in parent):
+            return "unresolved"  # some change run does not beat every parent run
+    return "better" if sign_p(won, len(parent)) <= SIGN_P else "unresolved"
 
 
 def run(checkout: Path, command: list[str], args: list[str]) -> dict[str, float]:
@@ -125,14 +141,16 @@ def compare(parent: Path, change: Path, workload: str, seed: int, pairs: int) ->
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run(sides[side], bench["command"], flags))
             print(f"pair {i + 1} {side}: {json.dumps(runs[side][-1], sort_keys=True)}", flush=True)
-    print(f"{'metric':<12} {'parent p50':>11} {'parent q1..q3':>21} {'change p50':>11} {'wins':>6}  verdict")
+    print(f"{'metric':<12} {'parent p50':>11} {'parent q1..q3':>21} {'change p50':>11} {'wins':>6} "
+          f"{'sign p':>8}  verdict")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         before = [r[name] for r in runs["parent"]]
         after = [r[name] for r in runs["change"]]
         q1, q3 = quartiles(before)
+        won = wins(before, after, metric["better"])
         print(f"{name:<12} {statistics.median(before):11.4g} {q1:10.4g}..{q3:<10.4g} "
-              f"{statistics.median(after):11.4g} {wins(before, after, metric['better']):3d}/{pairs:<2d} "
+              f"{statistics.median(after):11.4g} {won:3d}/{pairs:<2d} {sign_p(won, pairs):8.3g}  "
               f"{verdict(before, after, metric['better'], metric['bound'])}")
 
 
