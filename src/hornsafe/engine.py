@@ -54,10 +54,16 @@ class HornPropagator:
     Gallier, 1984), times the log factor of the loop's candidate heap.
     The copy is O(m) on every call, so it serves only the alpha >= 1
     probes of the exterior and envelope formula routes and direct callers.
-    :func:`entails` and those routes at alpha = 0 read the alpha = 0
-    interior base instead, whose counters are copied once per theory:
-    after the first query, each costs the clauses its literals touch, plus
-    a copy of n + 1 positions and of the base derivation, not of m counters.
+    It stays on purpose for now: answering these probes from the alpha = 0
+    base, or holding the body sizes in an array so that the copy is one
+    memcpy, makes them several times faster, but perfbench keeps a record
+    per operation, so either change also raises its peak memory beyond its
+    bound until those records stop growing with throughput.
+    :func:`entails` and those routes at alpha = 0 ask the alpha = 0
+    interior base instead, as every interior query asks its alpha's base:
+    after the first query, each costs the clauses its literals touch and a
+    copy of n + 1 positions, with the counters it lowers in a dict over
+    the base's, which :func:`_derive` reads and never writes.
 
     ``interior_bases`` maps alpha to the query-independent part of the
     alpha-interior deduction (:func:`hornsafe.interior.interior_base`),
@@ -116,7 +122,7 @@ class HornPropagator:
         return Model(n, index_mask(trues))
 
 
-def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace) -> bool:
+def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace, base=None) -> bool:
     """Put the variables of ``fresh`` into N (the variables with ``inside[i]``
     nonzero), then grow N to its fixpoint under the alpha-rule; True when a
     YES condition holds.
@@ -128,10 +134,15 @@ def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace) -> bool:
     is the theory, the unit propagation of
     :meth:`HornPropagator.minimal_model`.
 
-    ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  Each variable
-    of ``fresh`` outside N is marked in ``inside``, and the counters of the
-    clauses whose body holds it are lowered by one; so are the counters of
-    the clause ids in ``ids``.  A clause that must be checked before any
+    ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  Without
+    ``base``, ``counts`` is a list of all m counters, written in place.
+    With it, ``base`` is such a list that the loop only reads, and
+    ``counts`` is a dict of the counters this call has lowered: a clause id
+    not in it reads ``base[k]``, so an interior query over its cached base
+    copies none of the m counters.  Each variable of ``fresh`` outside N is
+    marked in ``inside``, and the counters of the clauses whose body holds
+    it are lowered by one; so are the counters of the clause ids in
+    ``ids``.  A clause that must be checked before any
     variable reaches it (a fact, or a clause whose body is already within
     alpha) is seeded by raising its counter by one and passing its id in
     ``ids``.  While some clause has counter alpha and a head outside N, the
@@ -151,7 +162,7 @@ def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace) -> bool:
     rounds = 0
     while True:
         for k in ids:
-            cnt = counts[k] - 1
+            cnt = (counts[k] if base is None else counts.get(k, base[k])) - 1
             counts[k] = cnt
             if cnt < alpha:
                 return True
@@ -211,15 +222,15 @@ def entails(t: HornTheory, c: Clause) -> Decision:
 
     The 0-interior of a theory is the theory, so this is the answer and
     witness of :func:`~hornsafe.interior.deduce_interior_formula` at
-    alpha = 0, without its trace: the first call builds the alpha = 0
-    interior base (one propagation from the facts, kept on the index), and
-    each call after it costs the clauses its literals touch, with no copy
-    of the m counters that :meth:`HornPropagator.minimal_model` makes.
+    alpha = 0, from the same base query without building its trace: the
+    first call builds the alpha = 0 interior base (one propagation from the
+    facts, kept on the index), and each call after it costs the clauses its
+    literals touch, with no copy of the m counters that
+    :meth:`HornPropagator.minimal_model` makes.
     """
-    from .interior import deduce_interior_formula  # interior imports this module
+    from .interior import _base_query  # interior imports this module
 
-    d = deduce_interior_formula(t, c, 0)
-    return Decision(d.entailed, witness=d.witness)
+    return _base_query(t, c, 0, traced=False)
 
 
 def min_model_above(charset: ModelSet, v: Model) -> Optional[Model]:

@@ -172,19 +172,6 @@ def interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
         return base
 
 
-class _Overlay(dict):
-    """One query's changed counters over the base counters, which it never writes."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: list[int]):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, k: int) -> int:
-        return self.base[k]
-
-
 def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     """Decide whether the alpha-interior of ``t`` entails ``c``.
 
@@ -213,37 +200,47 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
       inconsistent and every query is answered YES.
     * the extension, per query: P(c) meeting F0 answers YES; otherwise only
       the variables of N(c) outside F0, and the heads they force, lower
-      counters, kept in a small overlay over the base counters.  A NO
-      witness is F0 | N(c) | the added heads.
+      counters.  ``engine._derive`` keeps the lowered ones in a dict of
+      the query's own and reads the others from the base counters, which
+      it never writes.  A NO witness is F0 | N(c) | the added heads.
 
     Cost: the first query at an alpha is O(theory size); later ones are
     O(|c| + the occurrences of the variables newly put into N), besides
     copying F0's n + 1 positions and its derivation into the trace.
     Candidate clauses are kept in a heap keyed by input position, adding a
-    log factor to both.
+    log factor to both.  :func:`~hornsafe.engine.entails` is this query at
+    alpha = 0 without the trace.
 
     The trace is the base derivation ``order[:cut]`` with the positions of
     N(c)'s variables deleted, then the query's own derivation, cut where
     YES fired.  ``cut`` is the position of the base derivation's first
     variable in P(c) when P(c) meets F0 (a YES), else its whole length.
     """
+    return _base_query(t, c, alpha, traced=True)
+
+
+def _base_query(t: HornTheory, c: Clause, alpha: int, traced: bool) -> Decision:
+    """:func:`deduce_interior_formula` with its trace when ``traced``, else
+    with none: then the base derivation is not copied, and the query's own
+    is kept only for the NO witness."""
     alpha = _check_query(c, alpha, t.n)
     prop = propagator(t)
     base = interior_base(prop, alpha)
     order, inside = base.order, base.inside
     # The base derivation, cut before its first variable in P(c), without N(c).
     cut = min((inside[p] - 1 for p in c.pos if inside[p]), default=len(order))
-    trace = list(order[:cut])
-    for skip in sorted((inside[i] - 1 for i in c.neg if 0 < inside[i] <= cut), reverse=True):
-        del trace[skip]
+    trace = []
+    if traced:
+        trace = list(order[:cut])
+        for skip in sorted((inside[i] - 1 for i in c.neg if 0 < inside[i] <= cut), reverse=True):
+            del trace[skip]
     if cut < len(order) or base.counters is None:
         return Decision(True, trace=tuple(trace))
 
     known = len(trace)
-    if _derive(prop, alpha, c.pos, inside[:], _Overlay(base.counters), c.neg, (), trace):
-        return Decision(True, trace=tuple(trace))
-    witness = base.mask | c.neg_mask | index_mask(trace[known:])
-    return Decision(False, witness=Model(t.n, witness), trace=tuple(trace))
+    yes = _derive(prop, alpha, c.pos, inside[:], {}, c.neg, (), trace, base.counters)
+    witness = None if yes else Model(t.n, base.mask | c.neg_mask | index_mask(trace[known:]))
+    return Decision(yes, witness=witness, trace=tuple(trace) if traced else ())
 
 
 #: An alpha-ball scan returns the non-models of a block of _ROWS vectors and

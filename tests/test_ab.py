@@ -4,7 +4,7 @@ worse beyond the bound; else unchanged when the parent's quartiles lie
 within the bound, and unresolved when they do not, unless every change run
 beats every parent run; and better only when the one-sided sign test of
 the wins gives p <= 0.05, else unresolved.  And its ``--revs`` checkouts,
-made and removed on a throwaway repository."""
+made and removed on a throwaway repository, with each revision run in both."""
 
 import importlib.util
 import random
@@ -154,6 +154,39 @@ def test_revs_make_and_remove_their_worktrees(tmp_path, monkeypatch, capsys):
     assert not any(scratch.iterdir())
     listed = subprocess.run(["git", "worktree", "list"], cwd=repo, capture_output=True, text=True).stdout
     assert len(listed.splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_revs_run_each_revision_in_both_checkouts(tmp_path, monkeypatch, capsys):
+    # The stub benchmark logs its directory and the value.txt of the
+    # revision checked out there; the revisions trade directories after
+    # every pair, so the parent runs in "parent" in pairs 1 and 3 and in
+    # "change" in pairs 2 and 4, and the change the other way round.
+    repo, scratch, log = tmp_path / "repo", tmp_path / "tmp", tmp_path / "runs.log"
+    (repo / "perfbench").mkdir(parents=True)
+    scratch.mkdir()
+    (repo / "perfbench" / "run.py").write_text(FAKE_RUN.replace(
+        'os.getcwd() + "\\n"', 'Path.cwd().name + " " + Path("value.txt").read_text() + "\\n"'))
+    git(repo, "init", "-q")
+    for value in ("2.0", "1.0"):
+        (repo / "value.txt").write_text(value)
+        git(repo, "add", "-A")
+        git(repo, "commit", "-q", "-m", f"value {value}")
+    monkeypatch.chdir(repo)
+    monkeypatch.setenv("AB_LOG", str(log))
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    assert ab.main(["--revs", "HEAD~1", "HEAD", "--workload", "model-compile", "--seed", "1", "--pairs", "4"]) == 0
+    runs = [tuple(line.split()) for line in log.read_text().splitlines()]
+    assert runs == [("parent", "2.0"), ("change", "1.0"),   # pair 1: the parent first
+                    ("parent", "1.0"), ("change", "2.0"),   # pair 2: the change first
+                    ("parent", "2.0"), ("change", "1.0"),
+                    ("parent", "1.0"), ("change", "2.0")]
+    # Each run is filed under its revision, whichever directory it ran in.
+    out = capsys.readouterr().out
+    for pair in range(1, 5):
+        assert re.search(rf'^pair {pair} parent: .*"op_p50_ms": 2\.0', out, re.M)
+        assert re.search(rf'^pair {pair} change: .*"op_p50_ms": 1\.0', out, re.M)
+    assert not any(scratch.iterdir())
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

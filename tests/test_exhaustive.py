@@ -27,6 +27,9 @@ enumeration.  Once more with one-row chunks, which are also one-vector
 blocks: each restart then records only the first non-model of its ball,
 and every ball vector but v* and the first flip goes through the witness
 stage of the scan.  Answers and witnesses must not depend on the block.
+
+Every NO witness of both interior routes must also be the least interior
+model falsifying the query: the AND of all of them, from enumeration.
 """
 
 from __future__ import annotations
@@ -350,3 +353,39 @@ def test_entailment_and_the_alpha_0_routes_match_minimal_model_at_n3():
                         bad.append((sorted(members), source, str(c), route))
     assert checked == 122 * 2 * 27 * 3
     assert bad == [], bad[:10]
+
+
+def _check_least_interior_witnesses(n: int) -> int:
+    """Every NO witness of both interior routes is the AND of the interior
+    models that falsify c: the interior is AND-closed, so that AND is
+    itself an interior model falsifying c, and it lies below every other
+    one.  Returns the number of NO answers checked."""
+    checked = 0
+    bad = []
+    for members in _and_closed_sets(n):
+        built = _horn_cnf(n, members)
+        theories = (("built", built), ("parsed", parse_horn_cnf(serialize_horn_cnf(built))))
+        charset = ModelSet.from_bits(n, _characteristic(members))
+        for alpha in range(n + 1):
+            interior = [v for v in range(1 << n) if all(u in members for u in _ball(n, v, alpha))]
+            for c in _clauses(n):
+                falsifiers = [v for v in interior if not _satisfies(v, c)]
+                least = reduce(lambda a, b: a & b, falsifiers) if falsifiers else None
+                runs = [(f"formula-{source}", deduce_interior_formula(t, c, alpha)) for source, t in theories]
+                runs.append(("charset", deduce_interior_charset(charset, c, alpha)))
+                for route, d in runs:
+                    got = None if d.entailed else d.witness.bits
+                    checked += got is not None
+                    if got != least:
+                        bad.append((sorted(members), str(c), alpha, route, got, least))
+    assert bad == [], bad[:10]
+    return checked
+
+
+def test_interior_witnesses_are_the_least_falsifying_interior_models():
+    assert _check_least_interior_witnesses(3) == 8_184
+
+
+@pytest.mark.slow
+def test_interior_witnesses_are_the_least_falsifying_interior_models_at_n4():
+    assert _check_least_interior_witnesses(4) == 1_008_639

@@ -2,8 +2,9 @@
 and a per-query extension: answers equal to the enumeration oracle and to
 a fresh parse, traces that are valid derivations, one base build per
 alpha, inconsistent interiors recorded without counters, a safe racing
-first build, a first query linear in the theory size, and theories that
-pickle and copy without their index and bases."""
+first build, bases that queries from several threads read and never write,
+a first query linear in the theory size, and theories that pickle and copy
+without their index and bases."""
 
 import copy
 import gc
@@ -21,6 +22,8 @@ from hornsafe import (
     Clause,
     HornTheory,
     Model,
+    deduce_envelope_formula,
+    deduce_exterior_formula,
     deduce_interior_formula,
     entails,
     eval_clause,
@@ -29,7 +32,7 @@ from hornsafe import (
     serialize_horn_cnf,
 )
 from hornsafe.engine import propagator
-from hornsafe.interior import interior_base
+from hornsafe.interior import build_interior_base, interior_base
 from hornsafe.oracle import all_models, interior_models, oracle_deduce
 from conftest import planted_horn, random_query_clause
 
@@ -186,6 +189,35 @@ def test_parallel_first_base_build_on_a_fresh_theory():
             assert [results[k] for k in range(len(jobs))] == sequential
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_queries_never_write_the_base_counters():
+    """Mixed queries over the cached bases from four threads: entails, the
+    interior route at alpha 0-2, and the exterior and envelope routes at
+    alpha = 0, which all read a base's counters and lower their own copy.
+    Afterwards every cached base still holds the counters of a fresh build."""
+    rng = random.Random(271828)
+    n = 40
+    theory = layered_horn(n, 400, 3, seed=rng.getrandbits(48))  # bodies of 3+: consistent to alpha 2
+    routes = [entails,
+              lambda t, c: deduce_exterior_formula(t, c, 0),
+              lambda t, c: deduce_envelope_formula(t, c, 0)]
+    routes += [lambda t, c, a=a: deduce_interior_formula(t, c, a) for a in (0, 1, 2)]
+    jobs = [(rng.randrange(len(routes)), random_query_clause(n, rng)) for _ in range(400)]
+    prop = propagator(theory)
+
+    def worker(offset):
+        return [(c, routes[r](theory, c)) for r, c in jobs[offset::4]]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [run for f in [pool.submit(worker, w) for w in range(4)] for run in f.result(timeout=60)]
+    assert sorted(prop.interior_bases) == [0, 1, 2]
+    for alpha, base in prop.interior_bases.items():
+        assert base.counters is not None
+        assert base.counters == build_interior_base(prop, alpha).counters, alpha
+    assert {d.entailed for _, d in runs} == {True, False}
+    # Some NO answers derived heads of their own, outside N(c).
+    assert any(not d.entailed and d.witness.bits & ~c.neg_mask for c, d in runs)
 
 
 def chain_horn(k: int, fillers: int, seed: int) -> HornTheory:

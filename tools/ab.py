@@ -9,8 +9,11 @@ makes the checkouts itself: detached ``git worktree`` checkouts of two
 revisions of the repository in the current directory, in the sibling
 directories ``parent`` and ``change`` of a new temporary directory (set
 ``TMPDIR`` to place it), removed with it when the comparison ends or
-fails.  Each pair runs the benchmark command of ``BENCHMARK.json`` with
-``--workload W --seed S --seconds <run_seconds> --trace 0`` once in each
+fails.  After each pair the two revisions trade checkouts (``git
+checkout --detach``), so each revision runs in both directories, in
+alternate pairs: the setup time of a run follows its directory as well
+as its code.  Each pair runs the benchmark command of ``BENCHMARK.json``
+with ``--workload W --seed S --seconds <run_seconds> --trace 0`` once in each
 checkout, one process at a time; the parent runs first in even pairs and
 the change first in odd ones.  Every run's metrics are printed as it
 ends.  Then, per end-to-end metric of ``BENCHMARK.json``: the parent's
@@ -105,39 +108,49 @@ def run(checkout: Path, command: list[str], args: list[str]) -> dict[str, float]
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def git(*args: str) -> None:
-    """Run git in the current directory; a failure stops the comparison."""
+def git(*args: str) -> str:
+    """Run git in the current directory and return its output; a failure
+    stops the comparison."""
     proc = subprocess.run(["git", *args], capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"git {' '.join(args)} failed:\n{proc.stderr[-2000:]}")
+    return proc.stdout
 
 
 @contextlib.contextmanager
 def worktrees(parent: str, change: str):
     """Detached worktrees of the revisions ``parent`` and ``change`` at
     ``<tmp>/parent`` and ``<tmp>/change``, paths of equal length, for the
-    ``with`` block; both and ``<tmp>`` are removed after it."""
+    ``with`` block, which gets the two paths and the two revisions' commit
+    ids; both worktrees and ``<tmp>`` are removed after it."""
     root = Path(tempfile.mkdtemp(prefix="ab-"))
     made = []
     try:
         for side, rev in (("parent", parent), ("change", change)):
             git("worktree", "add", "--detach", str(root / side), rev)
             made.append(root / side)
-        yield made
+        yield made, [git("-C", str(path), "rev-parse", "HEAD").strip() for path in made]
     finally:
         for path in made:
             git("worktree", "remove", "--force", str(path))
         shutil.rmtree(root, ignore_errors=True)
 
 
-def compare(parent: Path, change: Path, workload: str, seed: int, pairs: int) -> None:
-    """Run the pairs in the two checkouts and print the runs and the table."""
+def compare(parent: Path, change: Path, workload: str, seed: int, pairs: int,
+            revs: list[str] | None = None) -> None:
+    """Run the pairs in the two checkouts and print the runs and the table.
+    With ``revs``, the commits checked out in ``parent`` and ``change``,
+    the two checkouts trade commits after every pair."""
     bench = json.loads(BENCHMARK.read_text())
     flags = ["--workload", workload, "--seed", str(seed),
              "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     sides = {"parent": parent, "change": change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(pairs):
+        if revs and i:
+            sides = {"parent": sides["change"], "change": sides["parent"]}
+            for side, rev in zip(("parent", "change"), revs):
+                git("-C", str(sides[side]), "checkout", "-q", "--detach", rev)
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run(sides[side], bench["command"], flags))
             print(f"pair {i + 1} {side}: {json.dumps(runs[side][-1], sort_keys=True)}", flush=True)
@@ -167,8 +180,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     if args.revs:
-        with worktrees(*args.revs) as (parent, change):
-            compare(parent, change, args.workload, args.seed, args.pairs)
+        with worktrees(*args.revs) as ((parent, change), revs):
+            compare(parent, change, args.workload, args.seed, args.pairs, revs)
         return 0
     parent, change = (d.resolve() for d in args.dirs)
     if len(str(parent)) != len(str(change)):
