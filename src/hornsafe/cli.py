@@ -22,8 +22,6 @@ from .core import (
     Clause,
     Decision,
     EnumerationLimitError,
-    HornTheory,
-    ModelSet,
     ParseError,
     eval_clause,
     parse_horn_cnf,
@@ -49,19 +47,6 @@ from .oracle import (_check_n, all_models, envelope_models, exterior_models, int
                      oracle_deduce)
 
 
-def _parse_clause_arg(text: str) -> Clause:
-    literals = [int(tok) for tok in text.split()]
-    return Clause.from_literals(literals)
-
-
-def _load_theory(path: str) -> HornTheory:
-    return parse_horn_cnf(Path(path).read_text())
-
-
-def _load_charset(path: str) -> ModelSet:
-    return parse_model_set(Path(path).read_text())
-
-
 def _graph_from_spec(spec: str) -> Graph:
     """Either a named family (``k3``, ``p4``, ``c5``, ``e4``) or an explicit
     ``nv:u-v,u-v`` edge list."""
@@ -85,16 +70,16 @@ def _finish(decision: Decision, want_witness: bool) -> int:
 
 
 def cmd_deduce(args: argparse.Namespace) -> int:
-    clause = _parse_clause_arg(args.clause)
+    clause = Clause.from_literals([int(tok) for tok in args.clause.split()])
     # Each deduce_* name is looked up each time this runs, so rebinding a
     # module global (a test's monkeypatch, a profiler's wrapper) reaches it.
     # Only exterior-charset takes the enumeration side.
     if args.theory:
-        kb = _load_theory(args.theory)
+        kb = parse_horn_cnf(Path(args.theory).read_text())
         route = {"interior": deduce_interior_formula, "exterior": deduce_exterior_formula,
                  "envelope": deduce_envelope_formula}[args.mode]
     else:
-        kb = _load_charset(args.charset)
+        kb = parse_model_set(Path(args.charset).read_text())
         route = {"interior": deduce_interior_charset,
                  "exterior": partial(deduce_exterior_charset, method=args.method),
                  "envelope": deduce_envelope_charset}[args.mode]
@@ -102,13 +87,13 @@ def cmd_deduce(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    clause = _parse_clause_arg(args.clause)
+    clause = Clause.from_literals([int(tok) for tok in args.clause.split()])
     if args.theory:
-        base = all_models(_load_theory(args.theory))
+        base = all_models(parse_horn_cnf(Path(args.theory).read_text()))
     else:
         # The charset's closure is its full model set.  n is capped before
         # it closes: the closure can grow toward 2^n members.
-        charset = _load_charset(args.charset)
+        charset = parse_model_set(Path(args.charset).read_text())
         _check_n(charset.n)
         base = intersection_closure(charset)
     if args.mode == "interior":
@@ -125,7 +110,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    theory = _load_theory(args.input)
+    theory = parse_horn_cnf(Path(args.input).read_text())
     charset = characteristic_set(all_models(theory))
     text = serialize_model_set(charset)
     if args.output:

@@ -18,12 +18,13 @@ members.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional
+from array import array
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .core import (Clause, Decision, EnumerationLimitError, HornTheory, Model, ModelSet, _bit_rows,
-                   _check_width, _member_flags, _unique, index_mask)
+                   _check_query, _check_width, _member_flags, _unique, index_mask)
 
 
 class HornPropagator:
@@ -33,9 +34,8 @@ class HornPropagator:
     negative index set; a clause with no positive literal is a pure
     constraint whose fully-true body is a conflict.  The index records, per
     clause id (input order), the head (0 when there is no positive literal)
-    and the body size; per variable, the ids of the clauses whose body
-    contains it, ascending (occurrence lists); and the ids of the clauses
-    with an empty body (``facts``).
+    and the body size; and per variable, the ids of the clauses whose body
+    contains it, ascending (occurrence lists).
 
     The one builder reads the theory's flat arrays
     (:class:`~hornsafe.core.FlatClauses`), parsed or derived from clauses:
@@ -47,28 +47,28 @@ class HornPropagator:
 
     Unit propagation is the alpha = 0 case of the package's one
     counter-propagation loop, :func:`_derive` in this module, which the
-    alpha-interior deduction of :mod:`hornsafe.interior` runs too.  Each
-    :meth:`minimal_model` call copies the body sizes, seeds the loop with
-    the facts and the forced trues, and then touches only the occurrence
-    lists of variables it sets true: O(theory size) at worst (Dowling &
-    Gallier, 1984), times the log factor of the loop's candidate heap.
-    The copy is O(m) on every call, so it serves only the alpha >= 1
-    probes of the exterior and envelope formula routes and direct callers.
-    It stays on purpose for now: answering these probes from the alpha = 0
-    base, or holding the body sizes in an array so that the copy is one
-    memcpy, makes them several times faster, but perfbench keeps a record
-    per operation, so either change also raises its peak memory beyond its
-    bound until those records stop growing with throughput.
-    :func:`entails` and those routes at alpha = 0 ask the alpha = 0
-    interior base instead, as every interior query asks its alpha's base:
-    after the first query, each costs the clauses its literals touch and a
-    copy of n + 1 positions, with the counters it lowers in a dict over
-    the base's, which :func:`_derive` reads and never writes.
+    alpha-interior deduction of :mod:`hornsafe.interior` runs too.  Every
+    least model grows from the alpha = 0 interior base
+    (:func:`interior_base`): F0, the least model of the theory, derived
+    once from the clauses with an empty body.  :func:`entails` and the
+    exterior and envelope formula routes at alpha = 0 query that base as
+    every interior query queries its alpha's base: after the first query,
+    each costs the clauses its literals touch and a copy of n + 1
+    positions, with the counters it lowers in a dict over the base's,
+    which :func:`_derive` reads and never writes.  Each
+    :meth:`minimal_model` call, which serves the alpha >= 1 probes of those
+    routes and direct callers, copies the base's m counters as well, then
+    touches only the occurrence lists of the variables it sets true:
+    O(theory size) at worst (Dowling & Gallier, 1984), times the log
+    factor of the loop's candidate heap.  The O(m) copy stays on purpose
+    for now: reading the base counters instead makes these probes several
+    times faster, but perfbench keeps a record per operation, so that
+    change also raises its peak memory beyond its bound until those
+    records stop growing with throughput.
 
     ``interior_bases`` maps alpha to the query-independent part of the
-    alpha-interior deduction (:func:`hornsafe.interior.interior_base`),
-    filled on the first interior query at that alpha; a base is published
-    only once fully built.
+    alpha-interior deduction (:class:`InteriorBase`), filled on the first
+    query at that alpha; a base is published only once fully built.
     """
 
     def __init__(self, theory: HornTheory):
@@ -87,8 +87,7 @@ class HornPropagator:
         self.occ: dict[int, list[int]] = {                # body variable -> clause ids
             v: ids[lo:hi] for v, lo, hi in zip(variables[starts].tolist(), bounds, bounds[1:])
         }
-        self.facts: list[int] = np.flatnonzero(sizes == 0).tolist()  # clause ids with an empty body
-        self.interior_bases: dict = {}                   # alpha -> interior.InteriorBase
+        self.interior_bases: dict = {}                   # alpha -> InteriorBase
 
     def minimal_model(
         self,
@@ -97,29 +96,26 @@ class HornPropagator:
     ) -> Optional[Model]:
         """Unique minimal model of the theory with the given variables pinned.
 
-        Returns None when the constrained theory is unsatisfiable.  This is
-        :func:`_derive` at alpha = 0 with ``forced_false`` as the YES set:
-        a clause that fires with no head or a pinned-false head means None.
+        Returns None when the constrained theory is unsatisfiable.  F0, the
+        alpha = 0 base (:func:`interior_base`), is the least model of the
+        theory, and derivation is monotone, so the least model above the
+        ``forced_true`` set S is Cl(F0 | S): :func:`_derive` at alpha = 0
+        from the base, seeded with S, with ``forced_false`` as the YES set.
+        None when the base is inconsistent, F0 or S meets ``forced_false``,
+        or a clause fires with no head or a pinned-false head.
         """
         n = self.n
-        pins = set()
-        for i in forced_false:
+        falses, trues = list(forced_false), list(forced_true)
+        for i in falses + trues:
             if not 1 <= i <= n:
                 raise ValueError(f"forced index {i} out of range (n={n})")
-            pins.add(i)
-        trues: list[int] = []
-        for i in forced_true:
-            if not 1 <= i <= n:
-                raise ValueError(f"forced index {i} out of range (n={n})")
-            if i in pins:
-                return None
-            trues.append(i)
-        counts = self.body_sizes.copy()
-        for k in self.facts:
-            counts[k] = 1  # lowered to 0 with the seeds, so every fact fires
-        if _derive(self, 0, pins, bytearray(n + 1), counts, trues, self.facts, trues):
+        pins = set(falses)
+        base = interior_base(self, 0)
+        if base.counters is None or not pins.isdisjoint(trues) or any(base.inside[i] for i in pins):
             return None
-        return Model(n, index_mask(trues))
+        if _derive(self, 0, pins, base.inside[:], base.counters.copy(), trues, (), trues):
+            return None
+        return Model(n, base.mask | index_mask(trues))
 
 
 def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace, base=None) -> bool:
@@ -129,10 +125,11 @@ def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace, base=None) -> 
 
     The package's one counter-propagation loop, with one entry: the
     alpha-interior deduction of
-    :func:`~hornsafe.interior.deduce_interior_formula` (its base and each
-    query's extension), and at alpha = 0, where the interior of a theory
+    :func:`~hornsafe.interior.deduce_interior_formula` (its base,
+    :func:`build_interior_base`, and each query's extension,
+    :func:`_base_query`), and at alpha = 0, where the interior of a theory
     is the theory, the unit propagation of
-    :meth:`HornPropagator.minimal_model`.
+    :meth:`HornPropagator.minimal_model` over the alpha = 0 base.
 
     ``counts[k]`` is the counter |N(d) \\ N| of clause id k.  Without
     ``base``, ``counts`` is a list of all m counters, written in place.
@@ -143,9 +140,9 @@ def _derive(prop, alpha, pset, inside, counts, fresh, ids, trace, base=None) -> 
     marked in ``inside``, and the counters of the clauses whose body holds
     it are lowered by one; so are the counters of the clause ids in
     ``ids``.  A clause that must be checked before any
-    variable reaches it (a fact, or a clause whose body is already within
-    alpha) is seeded by raising its counter by one and passing its id in
-    ``ids``.  While some clause has counter alpha and a head outside N, the
+    variable reaches it (one whose body is already within alpha, at alpha
+    = 0 a fact) is seeded by raising its counter by one and passing its id
+    in ``ids``.  While some clause has counter alpha and a head outside N, the
     first such clause in input order puts its head j into ``trace`` and N
     (``inside[j] = 1``) and lowers the counters of the clauses whose body
     holds j.  YES holds as soon as a counter falls below alpha, or is alpha
@@ -204,6 +201,85 @@ def propagator(t: HornTheory) -> HornPropagator:
         return prop
 
 
+class InteriorBase(NamedTuple):
+    """The query-independent part of alpha-interior deduction on one theory.
+
+    F0 is the closure of the empty set under the alpha-rule of
+    :func:`~hornsafe.interior.deduce_interior_formula` (no query literals).
+    ``order`` lists F0 in derivation order, ``inside`` maps each variable
+    ``0..n`` to its 1-based position in ``order`` (0 outside F0) and
+    ``mask`` packs F0.  ``counters`` holds |N(d) \\ F0| per clause id at the
+    fixpoint; it is None when the build met a YES condition, which means
+    the alpha-interior is inconsistent and entails every clause (``order``
+    then stops where YES fired).  At alpha = 0, F0 is the least model of
+    the theory, and None means the theory is unsatisfiable.
+    """
+
+    order: tuple[int, ...]
+    inside: array
+    mask: int
+    counters: Optional[list[int]]
+
+
+def build_interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
+    """Derive F0 from N = {} and P = {} with :func:`_derive`.
+
+    The clauses whose body has at most alpha literals are active before any
+    variable is derived; each is seeded with its counter raised by one and
+    its id passed in ``ids``, so the loop lowers it back and checks it.
+    ``inside`` is numbered with F0's positions afterwards."""
+    counters = prop.body_sizes.copy()
+    inside = array("i", [0]) * (prop.n + 1)
+    order: list[int] = []
+    active = [k for k, size in enumerate(counters) if size <= alpha]
+    for k in active:
+        counters[k] += 1
+    if _derive(prop, alpha, frozenset(), inside, counters, (), active, order):
+        counters = None
+    for pos, j in enumerate(order, 1):
+        inside[j] = pos
+    return InteriorBase(tuple(order), inside, index_mask(order), counters)
+
+
+def interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
+    """The :class:`InteriorBase` of ``prop`` at ``alpha``: built on the first
+    query at that alpha, then kept in ``prop.interior_bases``.
+
+    A base is published only once fully built; threads racing on the first
+    query may each build one, and either serves.
+    """
+    try:
+        return prop.interior_bases[alpha]
+    except KeyError:
+        base = build_interior_base(prop, alpha)
+        prop.interior_bases[alpha] = base
+        return base
+
+
+def _base_query(t: HornTheory, c: Clause, alpha: int, traced: bool) -> Decision:
+    """:func:`~hornsafe.interior.deduce_interior_formula` with its trace
+    when ``traced``, else with none: then the base derivation is not
+    copied, and the query's own is kept only for the NO witness."""
+    alpha = _check_query(c, alpha, t.n)
+    prop = propagator(t)
+    base = interior_base(prop, alpha)
+    order, inside = base.order, base.inside
+    # The base derivation, cut before its first variable in P(c), without N(c).
+    cut = min((inside[p] - 1 for p in c.pos if inside[p]), default=len(order))
+    trace = []
+    if traced:
+        trace = list(order[:cut])
+        for skip in sorted((inside[i] - 1 for i in c.neg if 0 < inside[i] <= cut), reverse=True):
+            del trace[skip]
+    if cut < len(order) or base.counters is None:
+        return Decision(True, trace=tuple(trace))
+
+    known = len(trace)
+    yes = _derive(prop, alpha, c.pos, inside[:], {}, c.neg, (), trace, base.counters)
+    witness = None if yes else Model(t.n, base.mask | c.neg_mask | index_mask(trace[known:]))
+    return Decision(yes, witness=witness, trace=tuple(trace) if traced else ())
+
+
 def minimal_model(
     t: HornTheory,
     forced_true: Iterable[int] = (),
@@ -222,14 +298,12 @@ def entails(t: HornTheory, c: Clause) -> Decision:
 
     The 0-interior of a theory is the theory, so this is the answer and
     witness of :func:`~hornsafe.interior.deduce_interior_formula` at
-    alpha = 0, from the same base query without building its trace: the
-    first call builds the alpha = 0 interior base (one propagation from the
-    facts, kept on the index), and each call after it costs the clauses its
-    literals touch, with no copy of the m counters that
-    :meth:`HornPropagator.minimal_model` makes.
+    alpha = 0, from the same base query (:func:`_base_query`) without
+    building its trace: the first call builds the alpha = 0 interior base
+    (one propagation from the facts, kept on the index), and each call
+    after it costs the clauses its literals touch, with no copy of the m
+    counters that :meth:`HornPropagator.minimal_model` makes.
     """
-    from .interior import _base_query  # interior imports this module
-
     return _base_query(t, c, 0, traced=False)
 
 

@@ -13,9 +13,9 @@ but deduction against it is not:
   until one of two terminal conditions fires; the query-independent part
   of that growth is derived once per theory and alpha, in time linear in
   the theory size up to bookkeeping, and each query pays only its own part.
-  Both parts run ``engine._derive``, the package's one counter-propagation
-  loop, which at alpha = 0 is the unit propagation of
-  :meth:`~hornsafe.engine.HornPropagator.minimal_model`;
+  Both parts live in :mod:`hornsafe.engine` and run ``engine._derive``,
+  the package's one counter-propagation loop, which at alpha = 0 is the
+  unit propagation of :meth:`~hornsafe.engine.HornPropagator.minimal_model`;
 * :func:`deduce_interior_charset` answers the same query from a
   characteristic-model representation by scanning the neighborhood of the
   minimal falsifying vector in fixed numpy chunks of vectors, in
@@ -27,7 +27,6 @@ but deduction against it is not:
 
 from __future__ import annotations
 
-from array import array
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -47,11 +46,9 @@ from .core import (
     _bit_rows,
     _check_alpha,
     _check_query,
-    index_mask,
     mask_indices,
 )
-# _ONES, the all-ones fill of _and_above_rows, is read from here by the scan tests.
-from .engine import _ONES, HornPropagator, _and_above, _and_above_rows, _derive, propagator  # noqa: F401
+from .engine import _and_above, _and_above_rows, _base_query
 
 #: Default ceiling on materialised subclauses / terms.
 EXPANSION_CAP = 1 << 20
@@ -117,61 +114,6 @@ def interior_cnf(t: HornTheory, alpha: int, cap: int = EXPANSION_CAP) -> HornThe
     return HornTheory(t.n, tuple(d for c in t.clauses for d in _subclauses(c, alpha)))
 
 
-class InteriorBase(NamedTuple):
-    """The query-independent part of alpha-interior deduction on one theory.
-
-    F0 is the closure of the empty set under the alpha-rule of
-    :func:`deduce_interior_formula` (no query literals).  ``order`` lists F0
-    in derivation order, ``inside`` maps each variable ``0..n`` to its
-    1-based position in ``order`` (0 outside F0) and ``mask`` packs F0.
-    ``counters`` holds |N(d) \\ F0| per clause id at the fixpoint; it is
-    None when the build met a YES condition, which means the alpha-interior
-    is inconsistent and entails every clause (``order`` then stops where
-    YES fired).
-    """
-
-    order: tuple[int, ...]
-    inside: array
-    mask: int
-    counters: Optional[list[int]]
-
-
-def build_interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
-    """Derive F0 from N = {} and P = {} with ``engine._derive``.
-
-    The clauses whose body has at most alpha literals are active before any
-    variable is derived; they are seeded as ``minimal_model`` seeds its
-    facts, each counter raised by one and the id passed in ``ids``, so the
-    loop lowers it back and checks it.  ``inside`` is numbered with F0's
-    positions afterwards."""
-    counters = prop.body_sizes.copy()
-    inside = array("i", [0]) * (prop.n + 1)
-    order: list[int] = []
-    active = [k for k, size in enumerate(counters) if size <= alpha]
-    for k in active:
-        counters[k] += 1
-    if _derive(prop, alpha, frozenset(), inside, counters, (), active, order):
-        counters = None
-    for pos, j in enumerate(order, 1):
-        inside[j] = pos
-    return InteriorBase(tuple(order), inside, index_mask(order), counters)
-
-
-def interior_base(prop: HornPropagator, alpha: int) -> InteriorBase:
-    """The :class:`InteriorBase` of ``prop`` at ``alpha``: built on the first
-    interior query at that alpha, then kept in ``prop.interior_bases``.
-
-    A base is published only once fully built; threads racing on the first
-    query may each build one, and either serves.
-    """
-    try:
-        return prop.interior_bases[alpha]
-    except KeyError:
-        base = build_interior_base(prop, alpha)
-        prop.interior_bases[alpha] = base
-        return base
-
-
 def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     """Decide whether the alpha-interior of ``t`` entails ``c``.
 
@@ -192,10 +134,10 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     only depends on the fixpoint Cl(N(c)) = Cl(N(c) | F0), where F0 = Cl({})
     is the same for every query.  The work is therefore split in two:
 
-    * the base (:func:`interior_base`): F0, its derivation order and the
-      counters at F0, derived once per theory and alpha on the first
-      interior query at that alpha and kept on the theory's shared
-      propagation index (:func:`~hornsafe.engine.propagator`).  When the
+    * the base (:func:`~hornsafe.engine.interior_base`): F0, its
+      derivation order and the counters at F0, derived once per theory and
+      alpha on the first query at that alpha and kept on the theory's
+      shared propagation index (:func:`~hornsafe.engine.propagator`).  When the
       base derivation itself meets a YES condition the alpha-interior is
       inconsistent and every query is answered YES.
     * the extension, per query: P(c) meeting F0 answers YES; otherwise only
@@ -208,8 +150,11 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     O(|c| + the occurrences of the variables newly put into N), besides
     copying F0's n + 1 positions and its derivation into the trace.
     Candidate clauses are kept in a heap keyed by input position, adding a
-    log factor to both.  :func:`~hornsafe.engine.entails` is this query at
-    alpha = 0 without the trace.
+    log factor to both.  Base and extension live in :mod:`hornsafe.engine`
+    (:func:`~hornsafe.engine._base_query`), where
+    :func:`~hornsafe.engine.entails` is this query at alpha = 0 without
+    the trace and :meth:`~hornsafe.engine.HornPropagator.minimal_model`
+    grows its least models from the alpha = 0 base.
 
     The trace is the base derivation ``order[:cut]`` with the positions of
     N(c)'s variables deleted, then the query's own derivation, cut where
@@ -217,30 +162,6 @@ def deduce_interior_formula(t: HornTheory, c: Clause, alpha: int) -> Decision:
     variable in P(c) when P(c) meets F0 (a YES), else its whole length.
     """
     return _base_query(t, c, alpha, traced=True)
-
-
-def _base_query(t: HornTheory, c: Clause, alpha: int, traced: bool) -> Decision:
-    """:func:`deduce_interior_formula` with its trace when ``traced``, else
-    with none: then the base derivation is not copied, and the query's own
-    is kept only for the NO witness."""
-    alpha = _check_query(c, alpha, t.n)
-    prop = propagator(t)
-    base = interior_base(prop, alpha)
-    order, inside = base.order, base.inside
-    # The base derivation, cut before its first variable in P(c), without N(c).
-    cut = min((inside[p] - 1 for p in c.pos if inside[p]), default=len(order))
-    trace = []
-    if traced:
-        trace = list(order[:cut])
-        for skip in sorted((inside[i] - 1 for i in c.neg if 0 < inside[i] <= cut), reverse=True):
-            del trace[skip]
-    if cut < len(order) or base.counters is None:
-        return Decision(True, trace=tuple(trace))
-
-    known = len(trace)
-    yes = _derive(prop, alpha, c.pos, inside[:], {}, c.neg, (), trace, base.counters)
-    witness = None if yes else Model(t.n, base.mask | c.neg_mask | index_mask(trace[known:]))
-    return Decision(yes, witness=witness, trace=tuple(trace) if traced else ())
 
 
 #: An alpha-ball scan returns the non-models of a block of _ROWS vectors and

@@ -101,10 +101,12 @@ def test_dimension_mismatches():
 
 
 def test_minimal_model_forced_false_out_of_range():
+    # Every forced index is range-checked before the pinned sets are
+    # compared, so [1, 9] against [1] raises as [9, 1] does.
     t = planted_horn(4, 5, 2, seed=3)
-    for bad in (0, 5):
+    for forced_true, forced_false, bad in [((), (0,), 0), ((), (5,), 5), ([1, 9], [1], 9), ([9, 1], [1], 9)]:
         with pytest.raises(ValueError, match=f"forced index {bad} out of range"):
-            minimal_model(t, (), (bad,))
+            minimal_model(t, forced_true, forced_false)
 
 
 def test_neighborhood_past_64_variables():

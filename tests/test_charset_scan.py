@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from hornsafe import Clause, EnumerationLimitError, Model, ModelSet, deduce_interior_charset
-from hornsafe import interior
+from hornsafe import engine, interior
 from hornsafe.core import Decision, index_mask, iter_flip_masks, mask_indices
 from hornsafe.engine import characteristic_set, intersection_closure
 
@@ -226,7 +226,7 @@ def _block_charset(rng: random.Random, n: int, body: int = 2, negative: bool = T
         models = cube[ok]
         col = models[:, None]
         above = ((models & col) == col) & (models != col)
-        meet = np.bitwise_and.reduce(np.where(above, models, interior._ONES), axis=1)
+        meet = np.bitwise_and.reduce(np.where(above, models, engine._ONES), axis=1)
         top = ~above.any(axis=1)
         maximal.append([int(m) << lo for m in models[top]])
         inner.append([int(m) << lo for m in models[~top & (meet != models)]])

@@ -9,10 +9,14 @@ derives everything it compares against from M itself, by enumeration over
 the 2^n vectors: the Horn CNF of M (every Horn clause M satisfies), its
 characteristic models, and the interior, exterior and envelope model sets.  Nothing here goes through ``engine`` or ``oracle``,
 so the optimised code is never checked against itself, with one deliberate
-exception: ``entails`` and the alpha = 0 exterior and envelope routes, which
-all answer from the alpha = 0 interior base, are also compared with the
-decision built from ``minimal_model``, the other way into their one shared
-propagation loop (every route is checked against enumeration too).
+exception: ``entails`` and the alpha = 0 exterior and envelope routes are
+also compared with the decision built from ``minimal_model``.  All four
+read the one alpha = 0 interior base, ``minimal_model`` by a seeded
+derivation over a copy of its counters and the others by the base query,
+so that comparison is not independent; the independent check of
+``minimal_model`` is the n = 3 enumeration test, against the least member
+above the true pins under every pair of pin sets (every route is checked
+against enumeration too).
 
 Each formula route answers on two theories with equal clauses: one built
 from the clause list and one parsed back from its text, so both sources of
@@ -333,9 +337,10 @@ def test_minimal_model_and_the_alpha_0_interior_on_every_theory_at_n3():
 
 def test_entailment_and_the_alpha_0_routes_match_minimal_model_at_n3():
     # At alpha = 0 exterior and envelope are the theory itself: entails and
-    # both routes answer from the alpha = 0 interior base, and each must
-    # equal the whole decision unit propagation gives, YES when no model
-    # contains N(c) and misses P(c), else NO with the least such model.
+    # both routes answer by the base query, and each must equal the whole
+    # decision minimal_model's seeded derivation over the same base gives,
+    # YES when no model contains N(c) and misses P(c), else NO with the
+    # least such model.
     n = 3
     bad = []
     checked = 0

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import hornsafe.interior
+import hornsafe.engine
 from hornsafe import (
     Clause,
     HornTheory,
@@ -31,8 +31,7 @@ from hornsafe import (
     random_horn,
     serialize_horn_cnf,
 )
-from hornsafe.engine import propagator
-from hornsafe.interior import build_interior_base, interior_base
+from hornsafe.engine import build_interior_base, interior_base, propagator
 from hornsafe.oracle import all_models, interior_models, oracle_deduce
 from conftest import planted_horn, random_query_clause
 
@@ -121,13 +120,13 @@ def test_traces_are_derivations(seed):
 
 def test_one_base_build_per_alpha(monkeypatch):
     builds = []
-    original = hornsafe.interior.build_interior_base
+    original = hornsafe.engine.build_interior_base
 
     def counting(prop, alpha):
         builds.append(alpha)
         return original(prop, alpha)
 
-    monkeypatch.setattr(hornsafe.interior, "build_interior_base", counting)
+    monkeypatch.setattr(hornsafe.engine, "build_interior_base", counting)
     rng = random.Random(51)
     theory = layered_horn(12, 40, 2, seed=52)
     alphas = [rng.randint(0, 3) for _ in range(60)]
@@ -194,15 +193,15 @@ def test_parallel_first_base_build_on_a_fresh_theory():
 def test_queries_never_write_the_base_counters():
     """Mixed queries over the cached bases from four threads: entails, the
     interior route at alpha 0-2, and the exterior and envelope routes at
-    alpha = 0, which all read a base's counters and lower their own copy.
+    alpha 0-2, which all read a base's counters and lower their own copy;
+    the alpha >= 1 probes of the last two copy the alpha = 0 base's.
     Afterwards every cached base still holds the counters of a fresh build."""
     rng = random.Random(271828)
     n = 40
     theory = layered_horn(n, 400, 3, seed=rng.getrandbits(48))  # bodies of 3+: consistent to alpha 2
-    routes = [entails,
-              lambda t, c: deduce_exterior_formula(t, c, 0),
-              lambda t, c: deduce_envelope_formula(t, c, 0)]
-    routes += [lambda t, c, a=a: deduce_interior_formula(t, c, a) for a in (0, 1, 2)]
+    routes = [entails]
+    for route in (deduce_interior_formula, deduce_exterior_formula, deduce_envelope_formula):
+        routes += [lambda t, c, r=route, a=a: r(t, c, a) for a in (0, 1, 2)]
     jobs = [(rng.randrange(len(routes)), random_query_clause(n, rng)) for _ in range(400)]
     prop = propagator(theory)
 

@@ -113,7 +113,7 @@ def _run(parse, text):
 
 def _index(t: HornTheory) -> tuple:
     p = HornPropagator(t)
-    return p.n, p.heads, p.body_sizes, p.facts, p.occ
+    return p.n, p.heads, p.body_sizes, p.occ
 
 
 _BAD_TOKENS = ["x", "+3", "1_0", "--1", "-", "3-", "3-4", "-3-4", "1.5", "\u0663", "2e1", "0x1"]

@@ -1,27 +1,25 @@
-"""A/B runs of the benchmark in two checkouts, with a verdict per metric.
+"""A/B runs of the benchmark at two revisions, with a verdict per metric.
 
-Usage: ``python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload W --seed S
---pairs N``, or ``python3 tools/ab.py --revs PARENT CHANGE --workload W
---seed S --pairs N``.  The two directories are checkouts the caller made
-(say with ``git archive``), at paths of equal length: the setup time of a
-run follows the length of its checkout's path.  With ``--revs`` the tool
-makes the checkouts itself: detached ``git worktree`` checkouts of two
-revisions of the repository in the current directory, in the sibling
-directories ``parent`` and ``change`` of a new temporary directory (set
-``TMPDIR`` to place it), removed with it when the comparison ends or
-fails.  After each pair the two revisions trade checkouts (``git
-checkout --detach``), so each revision runs in both directories, in
-alternate pairs: the setup time of a run follows its directory as well
-as its code.  Each pair runs the benchmark command of ``BENCHMARK.json``
-with ``--workload W --seed S --seconds <run_seconds> --trace 0`` once in each
-checkout, one process at a time; the parent runs first in even pairs and
-the change first in odd ones.  Every run's metrics are printed as it
-ends.  Then, per end-to-end metric of ``BENCHMARK.json``: the parent's
-median and quartiles, the change's median, the pairs the change won, the
-one-sided sign-test p of those wins (:func:`sign_p`), and a verdict
-(:func:`verdict`): better, worse, unchanged or unresolved.
-Besides the worktrees, the tool only reads ``BENCHMARK.json`` and the
-checkouts' benchmark output.
+Usage: ``python3 tools/ab.py --revs PARENT CHANGE --workload W --seed S
+--pairs N``.  The tool makes the checkouts itself: detached ``git
+worktree`` checkouts of two revisions of the repository in the current
+directory, in the sibling directories ``parent`` and ``change`` of a new
+temporary directory (set ``TMPDIR`` to place it), removed with it when the
+comparison ends or fails.  After each pair the two revisions trade
+checkouts (``git checkout --detach``), so each revision runs in both
+directories, in alternate pairs: the setup time of a run follows its
+directory as well as its code.  To compare uncommitted work, commit it to
+a scratch branch, or ``git add`` it and pass the commit that ``git stash
+create`` prints.  Each pair runs the benchmark command of
+``BENCHMARK.json`` with ``--workload W --seed S --seconds <run_seconds>
+--trace 0`` once in each checkout, one process at a time; the parent runs
+first in even pairs and the change first in odd ones.  Every run's metrics
+are printed as it ends.  Then, per end-to-end metric of
+``BENCHMARK.json``: the parent's median and quartiles, the change's
+median, the pairs the change won, the one-sided sign-test p of those wins
+(:func:`sign_p`), and a verdict (:func:`verdict`): better, worse,
+unchanged or unresolved.  Besides the worktrees, the tool only reads
+``BENCHMARK.json`` and the checkouts' benchmark output.
 """
 
 from __future__ import annotations
@@ -137,17 +135,17 @@ def worktrees(parent: str, change: str):
 
 
 def compare(parent: Path, change: Path, workload: str, seed: int, pairs: int,
-            revs: list[str] | None = None) -> None:
+            revs: list[str]) -> None:
     """Run the pairs in the two checkouts and print the runs and the table.
-    With ``revs``, the commits checked out in ``parent`` and ``change``,
-    the two checkouts trade commits after every pair."""
+    ``revs`` are the commits checked out in ``parent`` and ``change``; the
+    two checkouts trade commits after every pair."""
     bench = json.loads(BENCHMARK.read_text())
     flags = ["--workload", workload, "--seed", str(seed),
              "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     sides = {"parent": parent, "change": change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(pairs):
-        if revs and i:
+        if i:
             sides = {"parent": sides["change"], "change": sides["parent"]}
             for side, rev in zip(("parent", "change"), revs):
                 git("-C", str(sides[side]), "checkout", "-q", "--detach", rev)
@@ -169,24 +167,15 @@ def compare(parent: Path, change: Path, workload: str, seed: int, pairs: int,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("dirs", type=Path, nargs="*", metavar="DIR", help="PARENT_DIR CHANGE_DIR")
-    parser.add_argument("--revs", nargs=2, metavar=("PARENT", "CHANGE"))
+    parser.add_argument("--revs", nargs=2, metavar=("PARENT", "CHANGE"), required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args(argv)
-    if len(args.dirs) != (0 if args.revs else 2):
-        parser.error("give either PARENT_DIR CHANGE_DIR or --revs PARENT CHANGE")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.revs:
-        with worktrees(*args.revs) as ((parent, change), revs):
-            compare(parent, change, args.workload, args.seed, args.pairs, revs)
-        return 0
-    parent, change = (d.resolve() for d in args.dirs)
-    if len(str(parent)) != len(str(change)):
-        parser.error("the two checkouts must be at paths of equal length")
-    compare(parent, change, args.workload, args.seed, args.pairs)
+    with worktrees(*args.revs) as ((parent, change), revs):
+        compare(parent, change, args.workload, args.seed, args.pairs, revs)
     return 0
 
 
